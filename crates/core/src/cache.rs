@@ -164,39 +164,26 @@ impl CacheStats {
     }
 }
 
-/// The persistent evidence store: three content-addressed maps (one per
-/// technique) plus session-local hit/miss counters. `BTreeMap` keeps the
-/// serialized snapshot deterministic, so equal caches are byte-equal on
-/// disk.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The evidence store: three content-addressed maps (one per technique)
+/// plus session-local hit/miss counters. `BTreeMap` keeps iteration
+/// deterministic, so equal caches persist to equal checkpoint bytes
+/// (see [`crate::durable`]).
+#[derive(Debug, Clone, Default)]
 pub struct EvidenceCache {
-    version: u32,
     pub(crate) l1: BTreeMap<EvidenceKey, Vec<(u32, u32, bool)>>,
     pub(crate) l2: BTreeMap<EvidenceKey, BigramCounts>,
     pub(crate) l3: BTreeMap<EvidenceKey, L3DayCounts>,
-    #[serde(skip)]
     pub(crate) stats: CacheStats,
 }
 
-impl Default for EvidenceCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl EvidenceCache {
-    /// Snapshot-format version; bump on layout changes.
+    /// Checkpoint-format version, stamped into every checkpoint header;
+    /// bump on layout changes.
     pub const VERSION: u32 = 1;
 
     /// An empty cache.
     pub fn new() -> Self {
-        Self {
-            version: Self::VERSION,
-            l1: BTreeMap::new(),
-            l2: BTreeMap::new(),
-            l3: BTreeMap::new(),
-            stats: CacheStats::default(),
-        }
+        Self::default()
     }
 
     /// Total number of cached entries across layers.
@@ -241,22 +228,6 @@ impl EvidenceCache {
         self.l2.retain(|k, _| !k.overlaps(range));
         self.l3.retain(|k, _| !k.overlaps(range));
         before - self.len()
-    }
-
-    /// Serializes the cache to a JSON snapshot (stats excluded).
-    pub fn to_json(&self) -> Result<String, String> {
-        serde_json::to_string(self).map_err(|e| e.to_string())
-    }
-
-    /// Restores a cache from a JSON snapshot. A snapshot written by an
-    /// incompatible [`VERSION`](Self::VERSION) deserializes to an empty
-    /// cache — stale evidence is never replayed across format changes.
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        let cache: Self = serde_json::from_str(s).map_err(|e| e.to_string())?;
-        if cache.version != Self::VERSION {
-            return Ok(Self::new());
-        }
-        Ok(cache)
     }
 }
 
@@ -472,6 +443,7 @@ pub fn l3_fingerprint(cfg: &L3Config, service_ids: &[String]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::{DurableStore, NoopPolicy};
     use logdep_logstore::time::MS_PER_HOUR;
     use logdep_logstore::{LogRecord, Millis};
 
@@ -552,20 +524,31 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_preserves_entries() {
+    fn checkpoint_round_trip_preserves_entries() {
         let (store, sources) = coupled_store(2);
         let range = TimeRange::new(Millis(0), Millis(2 * MS_PER_HOUR));
-        let mut cache = EvidenceCache::new();
         let par = ParConfig::serial();
-        let first = run_l1_cached(&store, range, &sources, &cfg(), &par, &mut cache).unwrap();
+        let dir = std::env::temp_dir().join(format!("logdep-cache-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let path = dir.join("round-trip.ck");
+        for suffix in ["", ".journal", ".ledger", ".quarantine"] {
+            match std::fs::remove_file(format!("{}{suffix}", path.display())) {
+                Ok(()) | Err(_) => {}
+            }
+        }
 
-        let snapshot = cache.to_json().expect("serialize");
-        let mut restored = EvidenceCache::from_json(&snapshot).expect("parse");
-        assert_eq!(restored.len(), cache.len());
-        let warm = run_l1_cached(&store, range, &sources, &cfg(), &par, &mut restored).unwrap();
+        let mut written = DurableStore::open(&path, 1, &mut NoopPolicy).expect("open");
+        let first =
+            run_l1_cached(&store, range, &sources, &cfg(), &par, written.cache_mut()).unwrap();
+        written.checkpoint(&mut NoopPolicy).expect("checkpoint");
+
+        let mut restored = DurableStore::open(&path, 1, &mut NoopPolicy).expect("reopen");
+        assert_eq!(restored.cache().len(), written.cache().len());
+        let cache = restored.cache_mut();
+        let warm = run_l1_cached(&store, range, &sources, &cfg(), &par, cache).unwrap();
         assert_eq!(warm, first);
-        assert_eq!(restored.stats().l1_hits, 2);
-        assert_eq!(restored.stats().l1_misses, 0);
+        assert_eq!(cache.stats().l1_hits, 2);
+        assert_eq!(cache.stats().l1_misses, 0);
     }
 
     #[test]
@@ -583,23 +566,5 @@ mod tests {
             cache.evict_outside(TimeRange::new(Millis(MS_PER_HOUR), Millis(3 * MS_PER_HOUR)));
         assert_eq!(evicted, 1, "slot 3 lies outside the retained window");
         assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn version_mismatch_yields_a_fresh_cache() {
-        let mut cache = EvidenceCache::new();
-        cache.l1.insert(
-            EvidenceKey {
-                fingerprint: 1,
-                start: 0,
-                end: 1,
-                digest: 2,
-            },
-            Vec::new(),
-        );
-        cache.version = EvidenceCache::VERSION + 1;
-        let snapshot = cache.to_json().expect("serialize");
-        let restored = EvidenceCache::from_json(&snapshot).expect("parse");
-        assert!(restored.is_empty());
     }
 }

@@ -4,13 +4,15 @@
 //! For each technique the canonical snapshot of the cached runner's
 //! result is compared byte-for-byte against the batch runner's on the
 //! same simulated landscape — cold (empty cache), warm (every entry
-//! hits), after a surgical one-range invalidation, and after a JSON
-//! persistence round trip. A one-day window advance must hit on every
-//! interior day and still match a fresh-cache run exactly. Floats are
-//! rendered with `{:?}` (shortest round trip), so even a last-ulp drift
-//! from replaying cached evidence fails the test.
+//! hits), after a surgical one-range invalidation, and after a
+//! checkpoint round trip through the durable store. A one-day window
+//! advance must hit on every interior day and still match a fresh-cache
+//! run exactly. Floats are rendered with `{:?}` (shortest round trip),
+//! so even a last-ulp drift from replaying cached evidence fails the
+//! test.
 
 use logdep::cache::{l1_fingerprint, l2_fingerprint, l3_fingerprint, run_l1_cached, EvidenceCache};
+use logdep::durable::{DurableStore, NoopPolicy};
 use logdep::health::PipelineConfig;
 use logdep::l1::{run_l1_pool, L1Config, L1Result};
 use logdep::l2::{run_l2_pool, L2Config, L2Result};
@@ -152,19 +154,37 @@ fn l1_cached_matches_batch_cold_warm_and_after_invalidation() {
 }
 
 #[test]
-fn l1_cache_survives_json_round_trip() {
+fn l1_cache_survives_checkpoint_round_trip() {
     let land = landscape(1);
     let sources = land.store.active_sources();
     let range = TimeRange::new(Millis(0), Millis::from_days(1));
     let cfg = l1_cfg();
     let par = pool(1);
+    let dir = std::env::temp_dir().join(format!("logdep-cache-eq-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("l1.ck");
+    for suffix in ["", ".journal", ".ledger", ".quarantine"] {
+        match std::fs::remove_file(format!("{}{suffix}", path.display())) {
+            Ok(()) | Err(_) => {}
+        }
+    }
 
-    let mut cache = EvidenceCache::new();
-    let first = run_l1_cached(&land.store, range, &sources, &cfg, &par, &mut cache).unwrap();
-    let mut restored = EvidenceCache::from_json(&cache.to_json().unwrap()).unwrap();
-    let replayed = run_l1_cached(&land.store, range, &sources, &cfg, &par, &mut restored).unwrap();
+    let mut written = DurableStore::open(&path, 1, &mut NoopPolicy).unwrap();
+    let first = run_l1_cached(
+        &land.store,
+        range,
+        &sources,
+        &cfg,
+        &par,
+        written.cache_mut(),
+    )
+    .unwrap();
+    written.checkpoint(&mut NoopPolicy).unwrap();
+    let mut restored = DurableStore::open(&path, 1, &mut NoopPolicy).unwrap();
+    let cache = restored.cache_mut();
+    let replayed = run_l1_cached(&land.store, range, &sources, &cfg, &par, cache).unwrap();
     assert_eq!(l1_snapshot(&replayed), l1_snapshot(&first));
-    assert_eq!(restored.stats().l1_misses, 0, "round trip lost entries");
+    assert_eq!(cache.stats().l1_misses, 0, "round trip lost entries");
 }
 
 #[test]

@@ -242,8 +242,17 @@ fn corrupt_line(line: &str, counts: &mut CorruptionCounts, rng: &mut StdRng) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logdep_logstore::codec::read_store;
     use logdep_logstore::registry::SourceId;
+    use logdep_logstore::{read_store_resilient, IngestPolicy, IngestReport};
+
+    /// Reads the injected stream back, keeping every parsed line.
+    fn read_back(tsv: &str) -> (LogStore, IngestReport) {
+        let policy = IngestPolicy {
+            dedup: false,
+            ..IngestPolicy::lenient()
+        };
+        read_store_resilient(tsv.as_bytes(), &policy).expect("read back")
+    }
 
     fn store(n: usize) -> LogStore {
         let mut s = LogStore::new();
@@ -269,8 +278,8 @@ mod tests {
         assert_eq!(inj.ledger.total_lost(), 0);
         assert_eq!(inj.ledger.corruption.total(), 0);
         assert!(inj.ledger.skew_applied_ms.is_empty());
-        let (parsed, errors) = read_store(inj.tsv.as_bytes()).expect("read back");
-        assert!(errors.is_empty());
+        let (parsed, report) = read_back(&inj.tsv);
+        assert_eq!(report.quarantined, 0);
         assert_eq!(parsed.len(), s.len());
         for (x, y) in s.records().iter().zip(parsed.records()) {
             assert_eq!(x.client_ts, y.client_ts);
@@ -316,9 +325,9 @@ mod tests {
         let s = store(1_000);
         let inj = inject(&s, &FaultConfig::at_intensity(5, 0.9));
         assert!(inj.ledger.corruption.total() > 0);
-        let (_, errors) = read_store(inj.tsv.as_bytes()).expect("read back");
+        let (_, report) = read_back(&inj.tsv);
         assert!(
-            !errors.is_empty(),
+            report.quarantined > 0,
             "corrupted lines should fail to parse: {:?}",
             inj.ledger.corruption
         );

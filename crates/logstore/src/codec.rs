@@ -14,7 +14,7 @@ use crate::record::{LogRecord, Severity};
 use crate::registry::NameRegistry;
 use crate::store::LogStore;
 use crate::time::Millis;
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 
 /// Escapes text for a single TSV field.
 fn escape(text: &str) -> String {
@@ -162,11 +162,6 @@ impl ParseErrors {
     /// Default number of retained samples.
     pub const SAMPLE_CAP: usize = 32;
 
-    /// Creates an empty collector with the default cap.
-    pub fn new() -> Self {
-        Self::with_cap(Self::SAMPLE_CAP)
-    }
-
     /// Creates an empty collector retaining at most `cap` samples.
     pub fn with_cap(cap: usize) -> Self {
         Self {
@@ -198,48 +193,23 @@ impl ParseErrors {
     pub fn samples(&self) -> &[(usize, ParseError)] {
         &self.samples
     }
-
-    /// True when failures beyond the retained samples were discarded.
-    pub fn truncated(&self) -> bool {
-        self.total > self.samples.len()
-    }
-}
-
-impl<'a> IntoIterator for &'a ParseErrors {
-    type Item = &'a (usize, ParseError);
-    type IntoIter = std::slice::Iter<'a, (usize, ParseError)>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.samples.iter()
-    }
-}
-
-/// Reads a whole TSV stream into a fresh (finalized) store.
-///
-/// Lines that fail to parse are counted (and the first few retained with
-/// their 1-based line number); parsing continues past them, mirroring how
-/// a real consolidation job must tolerate occasional corrupt lines. For
-/// quarantine budgets, repair and dedup, see [`crate::ingest`].
-pub fn read_store<R: BufRead>(r: R) -> io::Result<(LogStore, ParseErrors)> {
-    let mut store = LogStore::new();
-    let mut errors = ParseErrors::new();
-    for (i, line) in r.lines().enumerate() {
-        let line = line?;
-        if line.is_empty() {
-            continue;
-        }
-        match parse_record(&line, &mut store.registry) {
-            Ok(rec) => store.push(rec),
-            Err(e) => errors.record(i + 1, e),
-        }
-    }
-    store.finalize();
-    Ok((store, errors))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ingest::{read_store_resilient, IngestPolicy, IngestReport};
     use crate::registry::SourceId;
+
+    /// Reads `data` the way a plain round trip wants: every line
+    /// accounted for, nothing deduplicated, no error budget.
+    fn read(data: &[u8]) -> (LogStore, IngestReport) {
+        let policy = IngestPolicy {
+            dedup: false,
+            ..IngestPolicy::lenient()
+        };
+        read_store_resilient(data, &policy).expect("reading from memory")
+    }
 
     fn sample_store() -> LogStore {
         let mut s = LogStore::new();
@@ -267,8 +237,8 @@ mod tests {
         let original = sample_store();
         let mut buf = Vec::new();
         write_store(&mut buf, &original).unwrap();
-        let (parsed, errors) = read_store(buf.as_slice()).unwrap();
-        assert!(errors.is_empty());
+        let (parsed, report) = read(&buf);
+        assert_eq!(report.quarantined, 0);
         assert_eq!(parsed.len(), original.len());
         for (a, b) in original.records().iter().zip(parsed.records()) {
             assert_eq!(a.client_ts, b.client_ts);
@@ -314,11 +284,11 @@ mod tests {
     #[test]
     fn read_store_collects_errors_and_continues() {
         let data = "1\t1\tA\t-\t-\tINF\tok\nbroken line\n2\t2\tB\t-\t-\tINF\talso ok\n";
-        let (store, errors) = read_store(data.as_bytes()).unwrap();
+        let (store, report) = read(data.as_bytes());
         assert_eq!(store.len(), 2);
-        assert_eq!(errors.len(), 1);
-        assert!(!errors.truncated());
-        assert_eq!(errors.samples()[0].0, 2, "1-based line number");
+        assert_eq!(report.quarantined, 1);
+        assert_eq!(report.quarantine_samples.len(), 1);
+        assert_eq!(report.quarantine_samples[0].0, 2, "1-based line number");
     }
 
     #[test]
@@ -327,27 +297,23 @@ mod tests {
         for i in 0..(ParseErrors::SAMPLE_CAP + 10) {
             garbage.push_str(&format!("broken line {i}\n"));
         }
-        let (store, errors) = read_store(garbage.as_bytes()).unwrap();
+        let (store, report) = read(garbage.as_bytes());
         assert!(store.is_empty());
-        assert_eq!(errors.len(), ParseErrors::SAMPLE_CAP + 10);
-        assert_eq!(errors.samples().len(), ParseErrors::SAMPLE_CAP);
-        assert!(errors.truncated());
+        assert_eq!(report.quarantined, ParseErrors::SAMPLE_CAP + 10);
+        assert_eq!(report.quarantine_samples.len(), ParseErrors::SAMPLE_CAP);
         // The retained samples are the *first* failures.
-        assert_eq!(errors.samples()[0].0, 1);
-        let mut seen = 0;
-        for (lineno, _) in &errors {
+        assert_eq!(report.quarantine_samples[0].0, 1);
+        for (lineno, _) in &report.quarantine_samples {
             assert!(*lineno <= ParseErrors::SAMPLE_CAP);
-            seen += 1;
         }
-        assert_eq!(seen, ParseErrors::SAMPLE_CAP);
     }
 
     #[test]
     fn empty_lines_skipped() {
         let data = "\n1\t1\tA\t-\t-\tINF\tok\n\n";
-        let (store, errors) = read_store(data.as_bytes()).unwrap();
+        let (store, report) = read(data.as_bytes());
         assert_eq!(store.len(), 1);
-        assert!(errors.is_empty());
+        assert_eq!(report.quarantined, 0);
         assert_eq!(store.registry.find_source("A"), Some(SourceId(0)));
     }
 
@@ -356,7 +322,7 @@ mod tests {
         let original = sample_store();
         let mut buf = Vec::new();
         write_store(&mut buf, &original).unwrap();
-        let (parsed, _) = read_store(buf.as_slice()).unwrap();
+        let (parsed, _) = read(&buf);
         // AppB record (earliest, sorts first) had no user/host.
         let r = &parsed.records()[0];
         assert!(r.user.is_none() && r.host.is_none());

@@ -1,9 +1,9 @@
 //! Resilient consolidation: quarantine, repair, dedup and skew estimation.
 //!
-//! [`crate::codec::read_store`] tolerates malformed lines but applies no
-//! policy. This module is the hardened path a production consolidation
-//! job would use against hostile streams (see the `logdep-faults`
-//! injector): it enforces a bounded **error budget** so a mis-pointed
+//! [`read_store_resilient`] is the one TSV reader. It is the hardened
+//! path a production consolidation job uses against hostile streams
+//! (see the `logdep-faults` injector): it enforces a bounded **error
+//! budget** so a mis-pointed
 //! ingest fails fast instead of silently quarantining half the data,
 //! repairs out-of-order delivery, absorbs at-least-once duplication, and
 //! estimates per-source clock skew from the client/server timestamp gap
@@ -157,9 +157,10 @@ impl From<io::Error> for IngestError {
 /// Reads a TSV stream into a finalized store under `policy`, reporting
 /// quarantine, repair, dedup and skew statistics.
 ///
-/// Unlike [`crate::codec::read_store`], this fails fast (with
-/// [`IngestError::ErrorBudgetExceeded`]) when the stream is mostly
-/// garbage, and absorbs duplicate delivery when `policy.dedup` is set.
+/// Fails fast (with [`IngestError::ErrorBudgetExceeded`]) when the
+/// stream is mostly garbage, and absorbs duplicate delivery when
+/// `policy.dedup` is set. `IngestPolicy { dedup: false,
+/// ..IngestPolicy::lenient() }` keeps every parsed line and never aborts.
 pub fn read_store_resilient<R: BufRead>(
     r: R,
     policy: &IngestPolicy,

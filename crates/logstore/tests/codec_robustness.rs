@@ -4,10 +4,11 @@
 //! containing the characters the escaping layer exists for (tabs,
 //! newlines, carriage returns, backslashes).
 
-use logdep_logstore::codec::{parse_record, read_store, write_record};
+use logdep_logstore::codec::{parse_record, write_record};
 use logdep_logstore::record::{LogRecord, Severity};
 use logdep_logstore::registry::NameRegistry;
 use logdep_logstore::time::Millis;
+use logdep_logstore::{read_store_resilient, IngestPolicy};
 use proptest::prelude::*;
 
 /// Printable ASCII plus the escape-relevant control characters.
@@ -90,10 +91,12 @@ proptest! {
         lines in proptest::collection::vec("[ -~\t]{0,40}", 0..30),
     ) {
         let input = lines.join("\n");
-        let (store, errors) = read_store(input.as_bytes()).expect("reading from memory");
+        let policy = IngestPolicy { dedup: false, ..IngestPolicy::lenient() };
+        let (store, report) =
+            read_store_resilient(input.as_bytes(), &policy).expect("reading from memory");
         let nonempty = lines.iter().filter(|l| !l.is_empty()).count();
-        prop_assert_eq!(store.records().len() + errors.len(), nonempty);
-        for (lineno, _) in &errors {
+        prop_assert_eq!(store.records().len() + report.quarantined, nonempty);
+        for (lineno, _) in &report.quarantine_samples {
             prop_assert!(*lineno >= 1 && *lineno <= lines.len());
         }
     }

@@ -17,46 +17,13 @@ use crate::ServeError;
 use logdep::evolution::{app_service_churn, pair_churn, Churn};
 use logdep::obs;
 use logdep::{AppServiceModel, EvidenceCache, PairModel, PipelineConfig};
-use logdep_logstore::time::{TimeRange, MS_PER_DAY};
-use logdep_logstore::{LogStore, Millis, SourceId};
+use logdep_logstore::time::MS_PER_DAY;
+use logdep_logstore::{LogStore, SourceId};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The sliding-window schedule an index build mines.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndexPlan {
-    /// First window starts at this day.
-    pub start_day: i64,
-    /// Width of each window in days.
-    pub window_days: i64,
-    /// Days the window advances between snapshots.
-    pub advance_days: i64,
-    /// Number of snapshots to mine.
-    pub steps: u64,
-}
-
-impl Default for IndexPlan {
-    fn default() -> Self {
-        Self {
-            start_day: 0,
-            window_days: 1,
-            advance_days: 1,
-            steps: 1,
-        }
-    }
-}
-
-impl IndexPlan {
-    /// The day the `step`-th window starts.
-    pub fn day(&self, step: u64) -> i64 {
-        self.start_day + (step as i64) * self.advance_days
-    }
-
-    /// The `step`-th window as a time range.
-    pub fn window(&self, step: u64) -> TimeRange {
-        let start = Millis::from_days(self.day(step));
-        TimeRange::new(start, Millis(start.0 + self.window_days * MS_PER_DAY))
-    }
-}
+/// The sliding-window schedule an index build mines: one snapshot per
+/// step, the same schedule the durable `daily` driver advances through.
+pub use logdep::DailyPlan as IndexPlan;
 
 /// One mined snapshot: the three detector models for one window.
 #[derive(Debug, Clone, Default)]
@@ -409,11 +376,11 @@ fn mine_days(
     cache: &mut EvidenceCache,
 ) -> Result<BTreeMap<i64, DayModels>, ServeError> {
     let mut days = BTreeMap::new();
-    for step in 0..plan.steps {
+    for step in 1..=plan.steps {
         let window = plan.window(step);
         let outcome = logdep::run_window_cached(store, window, service_ids, cfg, cache)
             .map_err(|e| ServeError::Build(format!("window step {step}: {e}")))?;
-        let day = plan.day(step);
+        let day = window.start.0.div_euclid(MS_PER_DAY);
         days.insert(
             day,
             DayModels {

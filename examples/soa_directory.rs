@@ -11,9 +11,9 @@
 //! ```
 
 use logdep::l3::{run_l3, L3Config};
-use logdep_logstore::codec::{read_store, write_store};
+use logdep_logstore::codec::write_store;
 use logdep_logstore::time::TimeRange;
-use logdep_logstore::Millis;
+use logdep_logstore::{read_store_resilient, IngestPolicy, Millis};
 use logdep_sim::ServiceDirectory;
 
 const DIRECTORY_XML: &str = r#"<serviceDirectory>
@@ -38,8 +38,12 @@ fn main() {
 
     // 2. Ingest the TSV log export (round-tripped through the codec to
     // show both directions).
-    let (store, errors) = read_store(LOG_TSV.as_bytes()).expect("logs parse");
-    assert!(errors.is_empty(), "malformed lines: {errors:?}");
+    let policy = IngestPolicy {
+        dedup: false,
+        ..IngestPolicy::lenient()
+    };
+    let (store, report) = read_store_resilient(LOG_TSV.as_bytes(), &policy).expect("logs parse");
+    assert_eq!(report.quarantined, 0, "malformed lines: {report:?}");
     let mut buf = Vec::new();
     write_store(&mut buf, &store).expect("logs re-serialize");
     println!(
