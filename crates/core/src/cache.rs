@@ -26,8 +26,8 @@
 //! [`Timeline::digest_neighborhood`]: logdep_logstore::Timeline::digest_neighborhood
 
 use crate::l1::{
-    combine_evidence, slot_evidence, slot_token, L1Config, L1Result, ReferenceProcess,
-    LOAD_JITTER_MS,
+    combine_evidence, median_ranks, slot_evidence, slot_token, L1Config, L1Result,
+    ReferenceProcess, LOAD_JITTER_MS,
 };
 use crate::l2::{BigramCounts, L2Config};
 use crate::l3::L3Config;
@@ -364,8 +364,9 @@ pub fn run_l1_slots_cached(
     // the pool below only computes, it never records.
     let hits = slots.len() as u64 - misses.len() as u64;
     let missed = misses.len() as u64;
+    let ranks = median_ranks(cfg);
     let computed: Vec<Vec<(usize, usize, bool)>> = par_map(par, &misses, |&(_, _, token, slot)| {
-        slot_evidence(store, token, slot, sources, cfg)
+        slot_evidence(store, token, slot, sources, cfg, &ranks)
     });
     for ((idx, key, _, _), evidence) in misses.into_iter().zip(computed) {
         cache.l1.insert(key, encode_evidence(&evidence));

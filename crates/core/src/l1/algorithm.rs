@@ -8,12 +8,13 @@
 //! once per active source per slot and shared across all partners — this
 //! is what keeps a full day over 1431 pairs tractable.
 
-use super::config::{L1Config, ReferenceProcess};
-use super::test::{b_side, decide, random_side, side_from_points, DistanceSamples};
+use super::config::{DecisionRule, L1Config, ReferenceProcess};
+use super::test::{b_side, decide, median_ranks, random_side, side_from_points, DistanceSamples};
 use crate::model::PairModel;
 use logdep_logstore::time::TimeRange;
 use logdep_logstore::{LogStore, Millis, SourceId};
 use logdep_par::{par_map, ParConfig};
+use logdep_stats::order_stats::CiRankTable;
 use logdep_stats::sampling::Sampler;
 use serde::{Deserialize, Serialize};
 
@@ -100,13 +101,15 @@ pub fn run_l1_slots_pool(
 ) -> crate::Result<L1Result> {
     cfg.validate()?;
 
-    // Fan out: one independent evidence computation per slot.
+    // Fan out: one independent evidence computation per slot, all
+    // sharing one median-CI rank table.
     let tokened: Vec<(u64, TimeRange)> = slots
         .iter()
         .map(|&slot| (slot_token(slot, cfg.slot_ms), slot))
         .collect();
+    let ranks = median_ranks(cfg);
     let per_slot: Vec<Vec<(usize, usize, bool)>> = par_map(par, &tokened, |&(token, slot)| {
-        slot_evidence(store, token, slot, sources, cfg)
+        slot_evidence(store, token, slot, sources, cfg, &ranks)
     });
 
     Ok(combine_evidence(&per_slot, sources, cfg, slots.len()))
@@ -202,14 +205,24 @@ fn mix64(mut x: u64) -> u64 {
 /// `(token, slot)` — every RNG stream is seeded per (seed, slot token,
 /// source) — so slots can be evaluated in any order or concurrently,
 /// and identical `(token, slot, timelines)` inputs always reproduce
-/// identical evidence (the cache-correctness invariant).
+/// identical evidence (the cache-correctness invariant). `ranks` is the
+/// run's [`median_ranks`] table, which only memoizes and never changes
+/// a result.
 pub(crate) fn slot_evidence(
     store: &LogStore,
     token: u64,
     slot: TimeRange,
     sources: &[SourceId],
     cfg: &L1Config,
+    ranks: &CiRankTable,
 ) -> Vec<(usize, usize, bool)> {
+    // The samples below only feed `decide`, which reads the raw
+    // distances under the rank-sum rule alone; elsewhere they are
+    // dropped unsorted (see `summarize`).
+    let cfg = &L1Config {
+        retain_dists: matches!(cfg.decision, DecisionRule::RankSum { .. }),
+        ..cfg.clone()
+    };
     let k = sources.len();
     // Sources active enough in this slot.
     let active: Vec<usize> = (0..k)
@@ -227,7 +240,7 @@ pub(crate) fn slot_evidence(
         let mut sampler = Sampler::from_seed(cfg.seed ^ token << 20 ^ sources[i].0 as u64);
         let side = match cfg.reference {
             ReferenceProcess::Homogeneous => {
-                random_side(store.timeline(sources[i]), slot, cfg, &mut sampler)
+                random_side(store.timeline(sources[i]), slot, cfg, ranks, &mut sampler)
             }
             ReferenceProcess::LoadProportional => {
                 // Sample comparison points from the *overall* log
@@ -243,7 +256,7 @@ pub(crate) fn slot_evidence(
                         Millis(r.client_ts.0 + jitter)
                     })
                     .collect();
-                side_from_points(store.timeline(sources[i]), &picks, cfg)
+                side_from_points(store.timeline(sources[i]), &picks, cfg, ranks)
             }
         };
         random_sides.push(side);
@@ -267,7 +280,7 @@ pub(crate) fn slot_evidence(
                             ^ (sources[i].0 as u64) << 12
                             ^ sources[j].0 as u64,
                     );
-                    b_side(a_tl, b_slot, cfg, &mut sampler)
+                    b_side(a_tl, b_slot, cfg, ranks, &mut sampler)
                         .map(|b| decide(&b, r, cfg))
                         .unwrap_or(false)
                 }
@@ -286,7 +299,7 @@ pub(crate) fn slot_evidence(
                                 ^ (sources[j].0 as u64) << 12
                                 ^ sources[i].0 as u64,
                         );
-                        b_side(b_tl, a_slot, cfg, &mut sampler)
+                        b_side(b_tl, a_slot, cfg, ranks, &mut sampler)
                             .map(|b| decide(&b, r, cfg))
                             .unwrap_or(false)
                     }

@@ -8,7 +8,8 @@
 use super::config::{CenterStat, DecisionRule, DistanceKind, L1Config};
 use logdep_logstore::time::TimeRange;
 use logdep_logstore::{Millis, Timeline};
-use logdep_stats::{descriptive, order_stats, sampling::Sampler, tdist};
+use logdep_stats::order_stats::CiRankTable;
+use logdep_stats::{descriptive, sampling::Sampler, tdist};
 use serde::{Deserialize, Serialize};
 
 /// Distance samples of one side of the comparison, with its CI.
@@ -43,10 +44,11 @@ pub struct DirectionOutcome {
 /// dropped.
 ///
 /// The query points are sorted once and every distance comes from one
-/// O(n + m) two-pointer merge sweep ([`Timeline::dists_to_nearest_sorted`])
-/// instead of a binary search per point. The multiset of distances is
+/// seek-then-sweep pass ([`Timeline::dists_to_nearest_sorted`]), costing
+/// O(log n) plus the timestamps the points span, instead of a binary
+/// search per point. The multiset of distances is
 /// identical to the per-point search — only their order changes, and
-/// [`summarize`] sorts anyway.
+/// [`summarize`] sorts or selects anyway.
 fn distances(a: &Timeline, points: &[Millis], kind: DistanceKind) -> Vec<f64> {
     let mut sorted: Vec<Millis> = points.to_vec();
     sorted.sort_unstable();
@@ -140,15 +142,28 @@ fn merge_sorted_runs(a: &[f64], b: &[f64], out: &mut Vec<f64>) {
 /// With `cfg.retain_dists` off the raw distances are dropped after the
 /// CI is computed, leaving a verdict-sized sample (the cached hot path;
 /// [`L1Config::validate`] rejects the combination with the rank-sum
-/// rule, which needs the raw values).
-fn summarize(dists: Vec<f64>, cfg: &L1Config) -> Option<DistanceSamples> {
+/// rule, which needs the raw values). Median ranks come from `ranks`,
+/// the run's table for `(0.5, cfg.ci_level)` (see [`median_ranks`]).
+///
+/// A median whose sample is dropped reads its order statistics by
+/// selection instead of sorting the sample: same values, same bits.
+/// The mean sums the sorted sample, so it always sorts.
+fn summarize(mut dists: Vec<f64>, cfg: &L1Config, ranks: &CiRankTable) -> Option<DistanceSamples> {
     if dists.len() < 10 {
         return None;
     }
-    let mut dists = sort_distance_runs(dists);
+    let sorted = cfg.retain_dists || cfg.stat == CenterStat::Mean;
+    if sorted {
+        dists = sort_distance_runs(dists);
+    }
     let (center, lower, upper) = match cfg.stat {
         CenterStat::Median => {
-            let ci = order_stats::median_ci_sorted(&dists, cfg.ci_level).ok()?;
+            let ci = if sorted {
+                ranks.ci_sorted(&dists)
+            } else {
+                ranks.ci_select(&mut dists)
+            }
+            .ok()?;
             (ci.point, ci.lower, ci.upper)
         }
         CenterStat::Mean => {
@@ -171,6 +186,13 @@ fn summarize(dists: Vec<f64>, cfg: &L1Config) -> Option<DistanceSamples> {
     })
 }
 
+/// The median-CI rank table of one L1 run: every sample `summarize`
+/// sees has at most `cfg.sample_size` distances, so each size is
+/// searched once per run.
+pub(crate) fn median_ranks(cfg: &L1Config) -> CiRankTable {
+    CiRankTable::new(0.5, cfg.ci_level, cfg.sample_size)
+}
+
 /// Random-side sample of the test: distances of `sample_size` uniform
 /// points in `range` to timeline `a`. Reusable across all `B`s sharing
 /// the same `A` and slot — the hot-path optimization of [`run_l1`].
@@ -180,6 +202,7 @@ pub(crate) fn random_side(
     a: &Timeline,
     range: TimeRange,
     cfg: &L1Config,
+    ranks: &CiRankTable,
     sampler: &mut Sampler,
 ) -> Option<DistanceSamples> {
     let points: Vec<Millis> = sampler
@@ -187,7 +210,7 @@ pub(crate) fn random_side(
         .into_iter()
         .map(|x| Millis(x as i64))
         .collect();
-    summarize(distances(a, &points, cfg.distance), cfg)
+    summarize(distances(a, &points, cfg.distance), cfg, ranks)
 }
 
 /// Reference side built from explicit comparison points (the
@@ -196,8 +219,9 @@ pub(crate) fn side_from_points(
     a: &Timeline,
     points: &[Millis],
     cfg: &L1Config,
+    ranks: &CiRankTable,
 ) -> Option<DistanceSamples> {
-    summarize(distances(a, points, cfg.distance), cfg)
+    summarize(distances(a, points, cfg.distance), cfg, ranks)
 }
 
 /// B-side sample: distances of (a subsample of) B's logs in `range`
@@ -206,10 +230,11 @@ pub(crate) fn b_side(
     a: &Timeline,
     b_slot: &[Millis],
     cfg: &L1Config,
+    ranks: &CiRankTable,
     sampler: &mut Sampler,
 ) -> Option<DistanceSamples> {
     let points = sampler.subsample(b_slot, cfg.sample_size);
-    summarize(distances(a, &points, cfg.distance), cfg)
+    summarize(distances(a, &points, cfg.distance), cfg, ranks)
 }
 
 /// Decides the direction test given both sides.
@@ -247,8 +272,9 @@ pub fn direction_test(
     cfg: &L1Config,
     sampler: &mut Sampler,
 ) -> Option<DirectionOutcome> {
-    let sample_r = random_side(a, range, cfg, sampler)?;
-    let sample_b = b_side(a, b.slice_in(range), cfg, sampler)?;
+    let ranks = median_ranks(cfg);
+    let sample_r = random_side(a, range, cfg, &ranks, sampler)?;
+    let sample_b = b_side(a, b.slice_in(range), cfg, &ranks, sampler)?;
     let positive = decide(&sample_b, &sample_r, cfg);
     Some(DirectionOutcome {
         positive,

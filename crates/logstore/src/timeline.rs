@@ -3,7 +3,9 @@
 //!
 //! Technique L1 reduces each application to the sequence of timestamps of
 //! its logs. Its core operation — equation (1) of the paper,
-//! `dist(t, A) = min_{a ∈ A} |a − t|` — is a binary search here.
+//! `dist(t, A) = min_{a ∈ A} |a − t|` — is a binary search per point, or,
+//! for a batch of ascending points, one binary search to the first point
+//! followed by a forward merge sweep.
 
 use crate::time::{Millis, TimeRange};
 use serde::{Deserialize, Serialize};
@@ -83,8 +85,9 @@ impl Timeline {
     }
 
     /// Batched [`dist_to_nearest`] for an *ascending* query sequence:
-    /// one two-pointer merge sweep over both sorted sequences computes
-    /// every distance in O(n + m) total, instead of one O(log n) binary
+    /// one binary search seeks to the first query, then a two-pointer
+    /// merge sweep computes every distance, in O(log n + s + m) total for
+    /// m queries spanning s timestamps, instead of one O(log n) binary
     /// search per point. Returns one entry per query point in query
     /// order (each bit-identical to the per-point search), or an empty
     /// vector on an empty timeline, where no distance is defined.
@@ -104,7 +107,7 @@ impl Timeline {
         let mut out = Vec::with_capacity(sorted_points.len());
         // Invariant: `i` is the first index with points[i] >= t; the
         // queries ascend, so it only ever moves forward.
-        let mut i = 0usize;
+        let mut i = self.seek(sorted_points);
         for &t in sorted_points {
             while i < self.points.len() && self.points[i] < t {
                 i += 1;
@@ -126,7 +129,8 @@ impl Timeline {
     }
 
     /// Batched [`dist_to_next`] for an *ascending* query sequence — the
-    /// forward-only sweep companion of [`dists_to_nearest_sorted`].
+    /// forward-only sweep companion of [`dists_to_nearest_sorted`], with
+    /// the same seek and the same O(log n + s + m) cost.
     /// Queries past the last timestamp have no next distance; since the
     /// queries ascend those form a suffix, so the result is one entry
     /// per query point of the defined prefix, in query order.
@@ -142,7 +146,7 @@ impl Timeline {
             "dists_to_next_sorted: query points not sorted"
         );
         let mut out = Vec::with_capacity(sorted_points.len());
-        let mut i = 0usize;
+        let mut i = self.seek(sorted_points);
         for &t in sorted_points {
             while i < self.points.len() && self.points[i] < t {
                 i += 1;
@@ -153,6 +157,15 @@ impl Timeline {
             }
         }
         out
+    }
+
+    /// Start of a merge sweep over ascending `sorted_points`: the first
+    /// index whose timestamp is not before the first query, so the sweep
+    /// skips every timestamp preceding the queries in O(log n).
+    fn seek(&self, sorted_points: &[Millis]) -> usize {
+        sorted_points
+            .first()
+            .map_or(0, |&t| self.points.partition_point(|&p| p < t))
     }
 
     /// Content digest (FNV-1a over the timestamp bytes) of the whole

@@ -1,6 +1,6 @@
-//! Property tests pinning the O(n+m) merge-sweep distance kernels to
-//! the per-point binary-search reference, and the content digests to
-//! their invalidation contract.
+//! Property tests pinning the seek-then-sweep distance kernels to the
+//! per-point binary-search reference, and the content digests to their
+//! invalidation contract.
 
 use logdep_logstore::time::{Millis, TimeRange};
 use logdep_logstore::Timeline;
@@ -19,7 +19,51 @@ fn sorted_queries(queries: Vec<i64>) -> Vec<Millis> {
     qs
 }
 
+/// Ascending queries in a narrow window whose start depends on `mode`:
+/// 0 — exactly at a timeline point (the seek boundary), 1 — entirely
+/// before the first point, 2 — entirely after the last point, 3 — just
+/// past a point, deep inside the timeline. Empty for an empty `tl`.
+fn slot_window(tl: &Timeline, mode: u8, anchor: usize, offsets: Vec<i64>) -> Vec<Millis> {
+    let pts = tl.points();
+    let (Some(first), Some(last)) = (pts.first(), pts.last()) else {
+        return Vec::new();
+    };
+    let at = pts.get(anchor % pts.len()).map_or(0, |p| p.0);
+    let width = offsets.iter().max().map_or(0, |w| w + 1);
+    let start = match mode {
+        0 => at,
+        1 => first.0 - width - anchor as i64,
+        2 => last.0 + 1 + anchor as i64,
+        _ => at + 1,
+    };
+    let mut qs: Vec<Millis> = offsets.into_iter().map(|o| Millis(start + o)).collect();
+    if mode == 0 {
+        qs.push(Millis(start));
+    }
+    qs.sort_unstable();
+    qs
+}
+
 proptest! {
+    #[test]
+    fn slot_window_sweeps_equal_per_point_binary_search(
+        points in prop::collection::vec(-T..T, 1..3_000),
+        anchor in 0usize..3_000,
+        offsets in prop::collection::vec(0i64..2_000, 0..80),
+        mode in 0u8..4,
+    ) {
+        // The shape L1 produces: a long timeline (many days) queried in
+        // one narrow slot, so the sweep must start at the slot.
+        let tl = timeline(points);
+        let qs = slot_window(&tl, mode, anchor, offsets);
+        let nearest: Vec<i64> = qs.iter().filter_map(|&q| tl.dist_to_nearest(q)).collect();
+        let next: Vec<i64> = qs.iter().filter_map(|&q| tl.dist_to_next(q)).collect();
+        prop_assert_eq!(tl.dists_to_nearest_sorted(&qs), nearest);
+        prop_assert_eq!(tl.dists_to_next_sorted(&qs), next);
+        prop_assert!(tl.dists_to_nearest_sorted(&[]).is_empty());
+        prop_assert!(tl.dists_to_next_sorted(&[]).is_empty());
+    }
+
     #[test]
     fn sweep_nearest_equals_per_point_binary_search(
         points in prop::collection::vec(-T..T, 0..200),

@@ -15,6 +15,7 @@
 //! smallest `k` with `P(B ≥ k) ≤ α/2`.
 
 use crate::{binomial, error::check_level, error::check_no_nan, Result, StatsError};
+use std::sync::OnceLock;
 
 /// A confidence interval for a quantile, with the ranks that produced it
 /// and the coverage actually achieved.
@@ -54,26 +55,140 @@ pub fn quantile_ci(sample: &[f64], q: f64, level: f64) -> Result<QuantileCi> {
 /// [`quantile_ci`] over data that is already sorted ascending.
 ///
 /// Returns an error if the sample is empty, contains NaN, or is not
-/// sorted.
+/// sorted. Callers that compute many intervals at one `(q, level)` share
+/// the rank search through a [`CiRankTable`].
 pub fn quantile_ci_sorted(sorted: &[f64], q: f64, level: f64) -> Result<QuantileCi> {
-    check_no_nan(sorted)?;
+    check_sorted_sample(sorted, q, level)?;
+    let ranks = ci_ranks(sorted.len() as u64, q, level)?;
+    Ok(interval(sorted, ranks, q))
+}
+
+/// Memoized interval ranks for one `(q, level)`: the rank search of
+/// [`quantile_ci_sorted`] depends only on the sample size `n`, so each
+/// `n` up to `max_n` is searched at most once per table and every later
+/// sample of that size only reads its two order statistics.
+///
+/// The cells are [`OnceLock`]s, so worker threads can share one table by
+/// reference and fill it concurrently; a sample larger than `max_n` is
+/// searched directly, uncached. Results are bit-identical to
+/// [`quantile_ci_sorted`], errors included.
+#[derive(Debug)]
+pub struct CiRankTable {
+    q: f64,
+    level: f64,
+    /// Indexed by sample size; cell 0 stays empty (empty samples error).
+    ranks: Vec<OnceLock<Result<CiRanks>>>,
+}
+
+impl CiRankTable {
+    /// A table for the `q`-quantile at confidence `level`, caching sample
+    /// sizes `1..=max_n`. Invalid `q` or `level` are reported by
+    /// [`CiRankTable::ci_sorted`], exactly as [`quantile_ci_sorted`]
+    /// reports them.
+    pub fn new(q: f64, level: f64, max_n: usize) -> Self {
+        Self {
+            q,
+            level,
+            ranks: (0..=max_n).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// [`quantile_ci_sorted`]`(sorted, q, level)` for this table's `q`
+    /// and `level`, with the rank search done once per sample size.
+    pub fn ci_sorted(&self, sorted: &[f64]) -> Result<QuantileCi> {
+        check_sorted_sample(sorted, self.q, self.level)?;
+        let ranks = self.ranks(sorted.len())?;
+        Ok(interval(sorted, ranks, self.q))
+    }
+
+    /// [`CiRankTable::ci_sorted`] of the sorted copy of `sample`, without
+    /// sorting: the (at most four) order statistics the interval reads
+    /// are moved into their sorted positions by selection, in O(n)
+    /// expected time, and the rest of `sample` is left in unspecified
+    /// order. Bit-identical to sorting first; the same errors except
+    /// that the input need not be sorted.
+    pub fn ci_select(&self, sample: &mut [f64]) -> Result<QuantileCi> {
+        check_sample(sample, self.q, self.level)?;
+        let ranks = self.ranks(sample.len())?;
+        let (lo, hi) = type7_positions(sample.len(), self.q);
+        let mut wanted = [
+            (ranks.lower - 1) as usize,
+            (ranks.upper - 1) as usize,
+            lo,
+            hi,
+        ];
+        wanted.sort_unstable();
+        select_positions(sample, &wanted, 0);
+        Ok(interval(sample, ranks, self.q))
+    }
+
+    /// The ranks for samples of size `n ≥ 1`, searched once per cell.
+    fn ranks(&self, n: usize) -> Result<CiRanks> {
+        let search = || ci_ranks(n as u64, self.q, self.level);
+        match self.ranks.get(n) {
+            Some(cell) => cell.get_or_init(search).clone(),
+            None => search(),
+        }
+    }
+}
+
+/// Places the order statistics of the ascending absolute `positions`
+/// (duplicates allowed) into `xs`, whose first element sits at absolute
+/// position `offset`: select the middle position, then recurse into
+/// the parts below and above it. Every value ends where a full sort by
+/// `total_cmp` would put it.
+fn select_positions(xs: &mut [f64], positions: &[usize], offset: usize) {
+    let mid = positions.len() / 2;
+    let Some(&at) = positions.get(mid) else {
+        return;
+    };
+    let local = at - offset;
+    let (below, _, above) = xs.select_nth_unstable_by(local, f64::total_cmp);
+    let (left, right) = positions.split_at(mid);
+    let lower = left.partition_point(|&p| p < at);
+    let upper = right.partition_point(|&p| p <= at);
+    select_positions(below, left.get(..lower).unwrap_or_default(), offset);
+    select_positions(above, right.get(upper..).unwrap_or_default(), at + 1);
+}
+
+/// 1-based interval ranks `j ≤ k` and the exact coverage of `[x_(j), x_(k)]`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct CiRanks {
+    lower: u64,
+    upper: u64,
+    achieved: f64,
+}
+
+/// The input checks of [`quantile_ci_sorted`] but sortedness, in its
+/// error order.
+fn check_sample(sample: &[f64], q: f64, level: f64) -> Result<()> {
+    check_no_nan(sample)?;
     check_level(level)?;
     if !(q > 0.0 && q < 1.0) {
         return Err(StatsError::InvalidLevel(q));
     }
-    let n = sorted.len();
-    if n == 0 {
+    if sample.is_empty() {
         return Err(StatsError::EmptySample);
     }
+    Ok(())
+}
+
+/// The input checks of [`quantile_ci_sorted`], in its error order.
+fn check_sorted_sample(sorted: &[f64], q: f64, level: f64) -> Result<()> {
+    check_sample(sorted, q, level)?;
     if sorted.windows(2).any(|w| w[0] > w[1]) {
         return Err(StatsError::InvalidParameter {
             name: "sorted (input not ascending)",
             value: f64::NAN,
         });
     }
+    Ok(())
+}
 
+/// The rank search: pure in `(n, q, level)` for `n ≥ 1`, `q` in (0, 1)
+/// and a valid `level`.
+fn ci_ranks(nn: u64, q: f64, level: f64) -> Result<CiRanks> {
     let alpha = 1.0 - level;
-    let nn = n as u64;
 
     // Largest rank j in 1..=n with P(B ≤ j−1) ≤ α/2 (falling back to 1 when
     // even P(B = 0) exceeds the tail budget). binomial::quantile gives a
@@ -103,15 +218,25 @@ pub fn quantile_ci_sorted(sorted: &[f64], q: f64, level: f64) -> Result<Quantile
     // observations below the true quantile, X_(j) ≤ x_q ⇔ B ≥ j and
     // x_q ≤ X_(k) ⇔ B ≤ k−1, so coverage = P(j ≤ B ≤ k−1).
     let achieved = binomial::cdf(nn, q, k - 1)? - binomial::cdf(nn, q, j - 1)?;
-
-    Ok(QuantileCi {
-        lower: sorted[(j - 1) as usize],
-        upper: sorted[(k - 1) as usize],
-        lower_rank: j as usize,
-        upper_rank: k as usize,
-        achieved_level: achieved,
-        point: interpolated_quantile(sorted, q),
+    Ok(CiRanks {
+        lower: j,
+        upper: k,
+        achieved,
     })
+}
+
+/// The interval of a checked, non-empty sample at `ranks`. Reads only
+/// positions `ranks − 1` and the [`type7_positions`], which must hold
+/// their order statistics.
+fn interval(sorted: &[f64], ranks: CiRanks, q: f64) -> QuantileCi {
+    QuantileCi {
+        lower: sorted[(ranks.lower - 1) as usize],
+        upper: sorted[(ranks.upper - 1) as usize],
+        lower_rank: ranks.lower as usize,
+        upper_rank: ranks.upper as usize,
+        achieved_level: ranks.achieved,
+        point: interpolated_quantile(sorted, q),
+    }
 }
 
 /// Confidence interval for the median at the given level.
@@ -131,9 +256,15 @@ pub(crate) fn interpolated_quantile(sorted: &[f64], q: f64) -> f64 {
         return sorted[0];
     }
     let h = (n as f64 - 1.0) * q;
-    let lo = h.floor() as usize;
-    let hi = (lo + 1).min(n - 1);
+    let (lo, hi) = type7_positions(n, q);
     sorted[lo] + (h - lo as f64) * (sorted[hi] - sorted[lo])
+}
+
+/// The 0-based positions `(lo, hi)` of the two order statistics a type-7
+/// estimate of the `q`-quantile of `n ≥ 1` values interpolates between.
+fn type7_positions(n: usize, q: f64) -> (usize, usize) {
+    let lo = ((n as f64 - 1.0) * q).floor() as usize;
+    (lo, (lo + 1).min(n - 1))
 }
 
 #[cfg(test)]

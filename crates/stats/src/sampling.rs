@@ -6,8 +6,8 @@
 //! every experiment in this repository is exactly reproducible.
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 
 /// A seeded sampler wrapping a deterministic PRNG.
 #[derive(Debug, Clone)]
@@ -36,12 +36,33 @@ impl Sampler {
     /// Subsamples `count` elements from `xs` without replacement,
     /// preserving no particular order. If `count >= xs.len()` the whole
     /// slice is returned (copied).
+    ///
+    /// A sparse partial Fisher–Yates shuffle in O(count log count) time
+    /// and O(count) space, independent of `xs.len()`: only the positions
+    /// a swap has displaced are stored. It draws the same
+    /// `gen_range(i..len)` sequence as `SliceRandom::choose_multiple`, so
+    /// the picks (and their order) are identical to it.
     pub fn subsample<T: Copy>(&mut self, xs: &[T], count: usize) -> Vec<T> {
-        if count >= xs.len() {
+        let len = xs.len();
+        if count >= len {
             return xs.to_vec();
         }
-        // Partial Fisher–Yates via choose_multiple: O(n) but allocation-light.
-        xs.choose_multiple(&mut self.rng, count).copied().collect()
+        // displaced[p] is the index now at position p of the virtual
+        // identity permutation 0..len; absent positions hold themselves.
+        let mut displaced: BTreeMap<usize, usize> = BTreeMap::new();
+        let mut out = Vec::with_capacity(count);
+        for i in 0..count {
+            let j = self.rng.gen_range(i..len);
+            // Position i is never read again, so its entry can go.
+            let at_i = displaced.remove(&i).unwrap_or(i);
+            let at_j = if j == i {
+                at_i
+            } else {
+                displaced.insert(j, at_i).unwrap_or(j)
+            };
+            out.extend(xs.get(at_j).copied());
+        }
+        out
     }
 
     /// Uniform integer in `[0, n)`.

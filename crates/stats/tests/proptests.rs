@@ -2,9 +2,13 @@
 
 use logdep_stats::contingency::Table2x2;
 use logdep_stats::order_stats::{median_ci, quantile_ci};
+use logdep_stats::sampling::Sampler;
 use logdep_stats::wilcoxon::{signed_rank, Alternative};
 use logdep_stats::{binomial, chi2, descriptive, normal, regression, tdist};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 
 fn finite_sample() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e6..1e6f64, 1..200)
@@ -137,5 +141,25 @@ proptest! {
         let dot: f64 = fit.residuals.iter().zip(&x).map(|(r, xi)| r * xi).sum();
         let scale: f64 = x.iter().map(|v| v * v).sum::<f64>().max(1.0);
         prop_assert!(dot.abs() / scale < 1e-6, "residuals not orthogonal: {dot}");
+    }
+}
+
+proptest! {
+    #[test]
+    fn subsample_picks_what_choose_multiple_picks(
+        len in 1usize..2_000,
+        fraction in 0.0..1.0f64,
+        seed in any::<u64>(),
+    ) {
+        let count = ((len as f64 * fraction) as usize).min(len - 1);
+        // Same seed, same `gen_range(i..len)` draws: the sparse shuffle
+        // must return the dense one's picks in the dense one's order.
+        let xs: Vec<u32> = (0..len as u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
+        let dense: Vec<u32> = xs
+            .choose_multiple(&mut StdRng::seed_from_u64(seed), count)
+            .copied()
+            .collect();
+        let sparse = Sampler::from_seed(seed).subsample(&xs, count);
+        prop_assert_eq!(sparse, dense);
     }
 }
