@@ -20,21 +20,24 @@
 //! inputs ⇒ (the computations being pure) byte-identical evidence. The
 //! per-layer payloads are the *pre-threshold* accumulators — L1 slot
 //! evidence triples, L2 [`BigramCounts`], L3 day citation counts — so
-//! the final thresholding always runs fresh over the merged window and
-//! matches the batch runners bit for bit.
+//! the final thresholding always runs fresh over the merged window.
+//!
+//! Each detector's one body reaches the cache through `walk_units`:
+//! given a cache it probes every unit (slot, session start day, record
+//! day) and computes only the misses; given none it takes no digest and
+//! computes every unit. The batch runners are those bodies with no
+//! cache, so cached and batch runs agree bit for bit by construction.
 //!
 //! [`Timeline::digest_neighborhood`]: logdep_logstore::Timeline::digest_neighborhood
 
-use crate::l1::{
-    combine_evidence, median_ranks, slot_evidence, slot_token, L1Config, L1Result,
-    ReferenceProcess, LOAD_JITTER_MS,
-};
+use crate::l1::{mine_l1, L1Config, L1Result, ReferenceProcess, LOAD_JITTER_MS};
 use crate::l2::{BigramCounts, L2Config};
 use crate::l3::L3Config;
 use logdep_logstore::time::TimeRange;
-use logdep_logstore::{LogStore, SourceId};
+use logdep_logstore::{LogRecord, LogStore, SourceId};
 use logdep_obs::{record, Field};
 use logdep_par::{par_map, ParConfig};
+use logdep_sessions::Session;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -120,6 +123,20 @@ pub struct L3DayCounts {
     pub scanned: u64,
     /// Records skipped by a stop pattern.
     pub stopped: u64,
+}
+
+impl L3DayCounts {
+    /// Adds `other` in, saturating — order-free, so scan shards and day
+    /// chunks merge in any grouping.
+    pub(crate) fn merge(mut self, other: L3DayCounts) -> L3DayCounts {
+        for (key, count) in other.citations {
+            let slot = self.citations.entry(key).or_insert(0);
+            *slot = slot.saturating_add(count);
+        }
+        self.scanned = self.scanned.saturating_add(other.scanned);
+        self.stopped = self.stopped.saturating_add(other.stopped);
+        self
+    }
 }
 
 /// Hit/miss counters per cached layer. Deltas (see [`CacheStats::since`])
@@ -288,9 +305,11 @@ pub(crate) fn l1_slot_digest(
     f.finish()
 }
 
-/// [`run_l1_slots_cached`] over the slot grid of `range` — the cached
-/// twin of [`crate::l1::run_l1_pool`], byte-identical to it at every
-/// thread count and cache state.
+/// Technique L1 over the slot grid of `range` through the cache —
+/// [`crate::l1::run_l1_pool`]'s body with a cache, so the result is
+/// byte-identical to it at every thread count and cache state. Records
+/// the `window.l1` and `l1.slots` spans and the `cache.l1.*` counters
+/// around the body, which itself records nothing.
 pub fn run_l1_cached(
     store: &LogStore,
     range: TimeRange,
@@ -309,104 +328,120 @@ pub fn run_l1_cached(
                 ("end_ms", Field::from(range.end.0)),
             ],
         );
+        r.span_begin("l1.slots", &[("slots", Field::from(slots.len()))]);
     });
-    let result = run_l1_slots_cached(store, &slots, sources, cfg, par, cache);
+    let before = cache.stats;
+    let result = mine_l1(store, &slots, sources, cfg, par, Some(cache));
+    let delta = cache.stats.since(&before);
     record(|r| {
+        r.counter_add("cache.l1.hits", delta.l1_hits);
+        r.counter_add("cache.l1.misses", delta.l1_misses);
+        r.span_end(
+            "l1.slots",
+            &[
+                ("hits", Field::from(delta.l1_hits)),
+                ("misses", Field::from(delta.l1_misses)),
+            ],
+        );
         r.span_end("window.l1", &[("slots", Field::from(slots.len()))]);
     });
     result
 }
 
-/// Technique L1 over an explicit slot list with slot-evidence
-/// memoization: every slot is first probed in the cache by its content
-/// address; only the misses fan out on the pool (through the very same
-/// [`slot_evidence`] the batch runner uses), and their evidence is
-/// inserted for the next run. The combined result is byte-identical to
-/// [`crate::l1::run_l1_slots_pool`] regardless of which entries hit.
-pub fn run_l1_slots_cached(
-    store: &LogStore,
-    slots: &[TimeRange],
-    sources: &[SourceId],
-    cfg: &L1Config,
-    par: &ParConfig,
-    cache: &mut EvidenceCache,
-) -> crate::Result<L1Result> {
-    cfg.validate()?;
-    record(|r| {
-        r.span_begin("l1.slots", &[("slots", Field::from(slots.len()))]);
-    });
-    let fp = l1_fingerprint(cfg, sources);
-
-    let mut per_slot: Vec<Option<Vec<(usize, usize, bool)>>> = Vec::with_capacity(slots.len());
-    let mut misses: Vec<(usize, EvidenceKey, u64, TimeRange)> = Vec::new();
-    for (idx, &slot) in slots.iter().enumerate() {
-        let key = EvidenceKey {
-            fingerprint: fp,
-            start: slot.start.0,
-            end: slot.end.0,
-            digest: l1_slot_digest(store, slot, sources, cfg),
-        };
-        match cache.l1.get(&key) {
-            Some(stored) => {
-                cache.stats.l1_hits += 1;
-                per_slot.push(Some(decode_evidence(stored)));
-            }
-            None => {
-                cache.stats.l1_misses += 1;
-                per_slot.push(None);
-                misses.push((idx, key, slot_token(slot, cfg.slot_ms), slot));
-            }
-        }
-    }
-
-    // The probe loop above ran on the caller thread, so the hit/miss
-    // split — and therefore the trace — is identical at every width;
-    // the pool below only computes, it never records.
-    let hits = slots.len() as u64 - misses.len() as u64;
-    let missed = misses.len() as u64;
-    let ranks = median_ranks(cfg);
-    let computed: Vec<Vec<(usize, usize, bool)>> = par_map(par, &misses, |&(_, _, token, slot)| {
-        slot_evidence(store, token, slot, sources, cfg, &ranks)
-    });
-    for ((idx, key, _, _), evidence) in misses.into_iter().zip(computed) {
-        cache.l1.insert(key, encode_evidence(&evidence));
-        per_slot[idx] = Some(evidence);
-    }
-    record(|r| {
-        r.counter_add("cache.l1.hits", hits);
-        r.counter_add("cache.l1.misses", missed);
-        r.span_end(
-            "l1.slots",
-            &[("hits", Field::from(hits)), ("misses", Field::from(missed))],
-        );
-    });
-
-    let per_slot: Vec<Vec<(usize, usize, bool)>> = per_slot
-        .into_iter()
-        .map(Option::unwrap_or_default)
-        .collect();
-    Ok(combine_evidence(&per_slot, sources, cfg, slots.len()))
+/// One cached layer of an [`EvidenceCache`] as a detector run sees it:
+/// the layer's map, its hit and miss counters, and the fingerprint of
+/// the run's configuration.
+pub(crate) struct Layer<'c, V> {
+    pub(crate) fingerprint: u64,
+    pub(crate) map: &'c mut BTreeMap<EvidenceKey, V>,
+    pub(crate) hits: &'c mut u64,
+    pub(crate) misses: &'c mut u64,
 }
 
-/// Compact storage form of slot evidence (pair positions fit u32).
-fn encode_evidence(evidence: &[(usize, usize, bool)]) -> Vec<(u32, u32, bool)> {
-    evidence
-        .iter()
-        .map(|&(i, j, pos)| {
-            (
-                u32::try_from(i).unwrap_or(u32::MAX),
-                u32::try_from(j).unwrap_or(u32::MAX),
-                pos,
-            )
+/// The per-unit values of one detector run, in unit order — the walk
+/// every detector body shares. With a `layer`, each unit is first
+/// looked up under its content address (`address` gives the range the
+/// unit covers and the digest of what it may consult) and only the
+/// misses reach `compute`, whose values are stored for the next run.
+/// Without one, no address is computed and every unit is a miss.
+/// `compute` returns one value per unit it is given, in order. The
+/// addresses are computed on the pool (digests are pure); the probe runs
+/// on the calling thread, so the hit/miss split is the same at every
+/// pool width.
+pub(crate) fn walk_units<'u, U: Sync, V: Clone>(
+    units: &'u [U],
+    par: &ParConfig,
+    layer: Option<Layer<'_, V>>,
+    address: impl Fn(&U) -> (TimeRange, u64) + Sync,
+    compute: impl FnOnce(&[&'u U]) -> Vec<V>,
+) -> Vec<V> {
+    let Some(layer) = layer else {
+        let all: Vec<&U> = units.iter().collect();
+        return compute(&all);
+    };
+    let addresses = par_map(par, units, address);
+    let mut values: Vec<Option<V>> = Vec::with_capacity(units.len());
+    let mut missing = Vec::new();
+    let mut keys = Vec::new();
+    for (unit, (range, digest)) in units.iter().zip(addresses) {
+        let key = EvidenceKey {
+            fingerprint: layer.fingerprint,
+            start: range.start.0,
+            end: range.end.0,
+            digest,
+        };
+        let hit = layer.map.get(&key).cloned();
+        if hit.is_some() {
+            *layer.hits += 1;
+        } else {
+            *layer.misses += 1;
+            missing.push(unit);
+            keys.push(key);
+        }
+        values.push(hit);
+    }
+    let mut fresh = keys.into_iter().zip(compute(&missing));
+    values
+        .into_iter()
+        .filter_map(|hit| {
+            hit.or_else(|| {
+                let (key, value) = fresh.next()?;
+                layer.map.insert(key, value.clone());
+                Some(value)
+            })
         })
         .collect()
 }
 
-fn decode_evidence(stored: &[(u32, u32, bool)]) -> Vec<(usize, usize, bool)> {
-    stored
-        .iter()
-        .map(|&(i, j, pos)| (i as usize, j as usize, pos))
-        .collect()
+/// Digest of one L2 start-day bucket: every session's user/host key and
+/// every entry's timestamp and source, length-framed per session so
+/// adjacent sessions cannot alias.
+pub(crate) fn l2_bucket_digest(sessions: &[Session]) -> u64 {
+    let mut f = Fnv::new();
+    f.push_u64(sessions.len() as u64);
+    for session in sessions {
+        f.push_u64(u64::from(session.user.0));
+        f.push_u64(u64::from(session.host.0));
+        f.push_u64(session.entries.len() as u64);
+        for entry in &session.entries {
+            f.push_i64(entry.ts.0);
+            f.push_u64(u64::from(entry.source.0));
+        }
+    }
+    f.finish()
+}
+
+/// Digest of one L3 day chunk: every record's timestamp, source and
+/// text.
+pub(crate) fn l3_chunk_digest(records: &[LogRecord]) -> u64 {
+    let mut f = Fnv::new();
+    f.push_u64(records.len() as u64);
+    for rec in records {
+        f.push_i64(rec.client_ts.0);
+        f.push_u64(u64::from(rec.source.0));
+        f.push_str(&rec.text);
+    }
+    f.finish()
 }
 
 /// Fingerprint of an L2 configuration. Field-by-field, checked by the
@@ -437,6 +472,12 @@ pub fn l3_fingerprint(cfg: &L3Config, service_ids: &[String]) -> u64 {
     f.push_u64(cfg.min_citations);
     for id in service_ids {
         f.push_str(id);
+    }
+    // An empty id keeps its service index; a directory holding one gets
+    // its own key family, so counts cached under the former shifted
+    // indexing never replay.
+    if service_ids.iter().any(String::is_empty) {
+        f.push_str("empty ids keep their index");
     }
     f.finish()
 }

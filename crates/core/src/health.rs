@@ -182,77 +182,26 @@ impl PipelineOutcome {
     }
 }
 
-fn l1_step(
-    store: &LogStore,
-    range: TimeRange,
-    cfg: Option<&L1Config>,
-    par: &ParConfig,
-) -> (DetectorHealth, Option<PairModel>) {
-    let Some(l1_cfg) = cfg else {
-        return (DetectorHealth::disabled(DetectorKind::L1), None);
+/// Runs one detector when it is configured, timing it and turning its
+/// result (or error) into a health row plus the detected model.
+fn step<C, M>(
+    detector: DetectorKind,
+    cfg: Option<&C>,
+    run_detector: impl FnOnce(&C) -> crate::Result<M>,
+    n_detected: impl FnOnce(&M) -> usize,
+) -> (DetectorHealth, Option<M>) {
+    let Some(cfg) = cfg else {
+        return (DetectorHealth::disabled(detector), None);
     };
     let start = Instant::now();
-    let sources = store.active_sources();
-    let outcome = run_l1_pool(store, range, &sources, l1_cfg, par);
+    let outcome = run_detector(cfg);
     let us = elapsed_us(start);
     match outcome {
-        Ok(res) => (
-            DetectorHealth::ran(DetectorKind::L1, res.detected.len(), us),
-            Some(res.detected),
+        Ok(model) => (
+            DetectorHealth::ran(detector, n_detected(&model), us),
+            Some(model),
         ),
-        Err(e) => (
-            DetectorHealth::failed(DetectorKind::L1, e.to_string(), us),
-            None,
-        ),
-    }
-}
-
-fn l2_step(
-    store: &LogStore,
-    range: TimeRange,
-    cfg: Option<&L2Config>,
-    par: &ParConfig,
-) -> (DetectorHealth, Option<PairModel>) {
-    let Some(l2_cfg) = cfg else {
-        return (DetectorHealth::disabled(DetectorKind::L2), None);
-    };
-    let start = Instant::now();
-    let outcome = run_l2_pool(store, range, l2_cfg, par);
-    let us = elapsed_us(start);
-    match outcome {
-        Ok(res) => (
-            DetectorHealth::ran(DetectorKind::L2, res.detected.len(), us),
-            Some(res.detected),
-        ),
-        Err(e) => (
-            DetectorHealth::failed(DetectorKind::L2, e.to_string(), us),
-            None,
-        ),
-    }
-}
-
-fn l3_step(
-    store: &LogStore,
-    range: TimeRange,
-    service_ids: &[String],
-    cfg: Option<&L3Config>,
-    par: &ParConfig,
-) -> (DetectorHealth, Option<AppServiceModel>) {
-    let Some(l3_cfg) = cfg else {
-        return (DetectorHealth::disabled(DetectorKind::L3), None);
-    };
-    let start = Instant::now();
-    let outcome = run_l3_pool(store, range, service_ids, l3_cfg, par);
-    let us = elapsed_us(start);
-    match outcome {
-        Ok(res) => (
-            DetectorHealth::ran(DetectorKind::L3, res.detected.len(), us),
-            Some(res.detected),
-        ),
-        Err(e) => (
-            DetectorHealth::failed(DetectorKind::L3, e.to_string(), us),
-            None,
-        ),
+        Err(e) => (DetectorHealth::failed(detector, e.to_string(), us), None),
     }
 }
 
@@ -318,17 +267,37 @@ pub fn run_pipeline(
             ],
         );
     });
-    let ((h1, l1_pairs), (h2, l2_pairs), (h3, l3_deps)) = if par.is_serial() {
-        (
-            l1_step(store, range, cfg.l1.as_ref(), par),
-            l2_step(store, range, cfg.l2.as_ref(), par),
-            l3_step(store, range, service_ids, cfg.l3.as_ref(), par),
+    let l1_step = || {
+        step(
+            DetectorKind::L1,
+            cfg.l1.as_ref(),
+            |c| run_l1_pool(store, range, &store.active_sources(), c, par).map(|r| r.detected),
+            PairModel::len,
         )
+    };
+    let l2_step = || {
+        step(
+            DetectorKind::L2,
+            cfg.l2.as_ref(),
+            |c| run_l2_pool(store, range, c, par).map(|r| r.detected),
+            PairModel::len,
+        )
+    };
+    let l3_step = || {
+        step(
+            DetectorKind::L3,
+            cfg.l3.as_ref(),
+            |c| run_l3_pool(store, range, service_ids, c, par).map(|r| r.detected),
+            AppServiceModel::len,
+        )
+    };
+    let ((h1, l1_pairs), (h2, l2_pairs), (h3, l3_deps)) = if par.is_serial() {
+        (l1_step(), l2_step(), l3_step())
     } else {
         logdep_par::scope(|s| {
-            let t1 = s.spawn(|| l1_step(store, range, cfg.l1.as_ref(), par));
-            let t2 = s.spawn(|| l2_step(store, range, cfg.l2.as_ref(), par));
-            let r3 = l3_step(store, range, service_ids, cfg.l3.as_ref(), par);
+            let t1 = s.spawn(l1_step);
+            let t2 = s.spawn(l2_step);
+            let r3 = l3_step();
             let r1 = match t1.join() {
                 Ok(r) => r,
                 Err(payload) => std::panic::resume_unwind(payload),

@@ -10,6 +10,7 @@
 
 use super::config::{DecisionRule, L1Config, ReferenceProcess};
 use super::test::{b_side, decide, median_ranks, random_side, side_from_points, DistanceSamples};
+use crate::cache::{l1_fingerprint, l1_slot_digest, walk_units, EvidenceCache, Layer};
 use crate::model::PairModel;
 use logdep_logstore::time::TimeRange;
 use logdep_logstore::{LogStore, Millis, SourceId};
@@ -69,49 +70,63 @@ pub fn run_l1_pool(
 ) -> crate::Result<L1Result> {
     cfg.validate()?;
     let slots = range.split(cfg.slot_ms);
-    run_l1_slots_pool(store, &slots, sources, cfg, par)
+    mine_l1(store, &slots, sources, cfg, par, None)
 }
 
 /// Runs technique L1 over an explicit slot list — the entry point for
-/// the adaptive-slot variant (§5 of the paper; see [`super::adaptive`]).
+/// the adaptive-slot variant (§5 of the paper; see
+/// [`adaptive_slots`](super::adaptive_slots)).
 pub fn run_l1_slots(
     store: &LogStore,
     slots: &[TimeRange],
     sources: &[SourceId],
     cfg: &L1Config,
 ) -> crate::Result<L1Result> {
-    run_l1_slots_pool(store, slots, sources, cfg, &ParConfig::default())
+    mine_l1(store, slots, sources, cfg, &ParConfig::default(), None)
 }
 
-/// [`run_l1_slots`] with an explicit worker-pool configuration.
+/// Technique L1 over an explicit slot list: the one body behind
+/// [`run_l1_pool`], [`run_l1_slots`] and [`crate::cache::run_l1_cached`].
 ///
+/// With a `cache`, every slot is first probed by its content address and
+/// only the misses are computed (their evidence is stored for the next
+/// run); without one, no digest is taken and every slot is computed.
 /// Slots are independent by construction (every RNG stream is seeded
 /// from `(seed, slot token, source)` alone, where the token depends on
 /// the slot's *absolute position*, not its enumeration index — see
-/// [`slot_token`]), so the (pair × slot) distance tests fan out per
-/// slot on the pool and the per-slot evidence is merged by counting in
-/// canonical slot-then-pair order — the exact accumulation the serial
-/// loop performs.
-pub fn run_l1_slots_pool(
+/// [`slot_token`]), so the missing slots fan out on the pool, sharing
+/// one median-CI rank table, and the per-slot evidence is merged by
+/// counting in canonical slot-then-pair order — the exact accumulation
+/// a serial loop performs. Records no trace event: the batch runners
+/// run on pipeline scope threads.
+pub(crate) fn mine_l1(
     store: &LogStore,
     slots: &[TimeRange],
     sources: &[SourceId],
     cfg: &L1Config,
     par: &ParConfig,
+    cache: Option<&mut EvidenceCache>,
 ) -> crate::Result<L1Result> {
     cfg.validate()?;
-
-    // Fan out: one independent evidence computation per slot, all
-    // sharing one median-CI rank table.
-    let tokened: Vec<(u64, TimeRange)> = slots
-        .iter()
-        .map(|&slot| (slot_token(slot, cfg.slot_ms), slot))
-        .collect();
-    let ranks = median_ranks(cfg);
-    let per_slot: Vec<Vec<(usize, usize, bool)>> = par_map(par, &tokened, |&(token, slot)| {
-        slot_evidence(store, token, slot, sources, cfg, &ranks)
+    let layer = cache.map(|c| Layer {
+        fingerprint: l1_fingerprint(cfg, sources),
+        map: &mut c.l1,
+        hits: &mut c.stats.l1_hits,
+        misses: &mut c.stats.l1_misses,
     });
-
+    let ranks = median_ranks(cfg);
+    let per_slot = walk_units(
+        slots,
+        par,
+        layer,
+        |&slot| (slot, l1_slot_digest(store, slot, sources, cfg)),
+        |missing| {
+            par_map(par, missing, |&&slot| {
+                let token = slot_token(slot, cfg.slot_ms);
+                slot_evidence(store, token, slot, sources, cfg, &ranks)
+            })
+        },
+    );
     Ok(combine_evidence(&per_slot, sources, cfg, slots.len()))
 }
 
@@ -119,8 +134,8 @@ pub fn run_l1_slots_pool(
 /// accumulators indexed by (i, j) position in `sources`, summed in slot
 /// order (addition is order-free, so this equals the serial
 /// accumulation bit for bit), then thresholded per §3.1.
-pub(crate) fn combine_evidence(
-    per_slot: &[Vec<(usize, usize, bool)>],
+fn combine_evidence(
+    per_slot: &[Vec<(u32, u32, bool)>],
     sources: &[SourceId],
     cfg: &L1Config,
     n_slots: usize,
@@ -130,6 +145,7 @@ pub(crate) fn combine_evidence(
     let mut positives = vec![0u32; k * k];
     for evidence in per_slot {
         for &(i, j, positive) in evidence {
+            let (i, j) = (i as usize, j as usize);
             support[i * k + j] += 1;
             if positive {
                 positives[i * k + j] += 1;
@@ -184,7 +200,7 @@ pub(crate) const LOAD_JITTER_MS: i64 = 2_000;
 /// enumeration index, preserving historical outputs bit for bit.
 /// Unaligned slots (the adaptive variant) get a mixed start token with
 /// the top bit set, keeping the two families disjoint.
-pub(crate) fn slot_token(slot: TimeRange, slot_ms: i64) -> u64 {
+fn slot_token(slot: TimeRange, slot_ms: i64) -> u64 {
     if slot_ms > 0 && slot.start.0.rem_euclid(slot_ms) == 0 {
         slot.start.0.div_euclid(slot_ms) as u64
     } else {
@@ -201,21 +217,21 @@ fn mix64(mut x: u64) -> u64 {
 }
 
 /// Evidence of one slot: `(i, j, positive)` per pair (positions in
-/// `sources`, `i < j`) where both sides cleared `minlogs`. Pure in
-/// `(token, slot)` — every RNG stream is seeded per (seed, slot token,
-/// source) — so slots can be evaluated in any order or concurrently,
-/// and identical `(token, slot, timelines)` inputs always reproduce
-/// identical evidence (the cache-correctness invariant). `ranks` is the
-/// run's [`median_ranks`] table, which only memoizes and never changes
-/// a result.
-pub(crate) fn slot_evidence(
+/// `sources`, `i < j`, in the compact form the cache stores) where both
+/// sides cleared `minlogs`. Pure in `(token, slot)` — every RNG stream
+/// is seeded per (seed, slot token, source) — so slots can be evaluated
+/// in any order or concurrently, and identical `(token, slot,
+/// timelines)` inputs always reproduce identical evidence (the
+/// cache-correctness invariant). `ranks` is the run's [`median_ranks`]
+/// table, which only memoizes and never changes a result.
+fn slot_evidence(
     store: &LogStore,
     token: u64,
     slot: TimeRange,
     sources: &[SourceId],
     cfg: &L1Config,
     ranks: &CiRankTable,
-) -> Vec<(usize, usize, bool)> {
+) -> Vec<(u32, u32, bool)> {
     // The samples below only feed `decide`, which reads the raw
     // distances under the rank-sum rule alone; elsewhere they are
     // dropped unsorted (see `summarize`).
@@ -305,7 +321,8 @@ pub(crate) fn slot_evidence(
                     }
                     None => false,
                 };
-            evidence.push((i, j, pos_both));
+            let position = |x: usize| u32::try_from(x).unwrap_or(u32::MAX);
+            evidence.push((position(i), position(j), pos_both));
         }
     }
     evidence

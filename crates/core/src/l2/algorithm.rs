@@ -1,11 +1,12 @@
 //! The session-mining runner of technique L2.
 
-use super::bigrams::{extract_bigrams_pool, BigramCounts};
+use super::bigrams::{extract_bigrams_pool, merge_counts, BigramCounts};
+use crate::cache::{l2_bucket_digest, l2_fingerprint, walk_units, EvidenceCache, Layer};
 use crate::model::PairModel;
-use logdep_logstore::time::TimeRange;
-use logdep_logstore::{LogStore, SourceId};
+use logdep_logstore::time::{TimeRange, MS_PER_DAY};
+use logdep_logstore::{LogStore, Millis, SourceId};
 use logdep_par::ParConfig;
-use logdep_sessions::{reconstruct_range, SessionConfig, SessionStats};
+use logdep_sessions::{reconstruct_range, Session, SessionConfig, SessionStats};
 use logdep_stats::contingency::{association_test, AssociationStatistic, Table2x2};
 use serde::{Deserialize, Serialize};
 
@@ -104,37 +105,99 @@ pub fn run_l2(store: &LogStore, range: TimeRange, cfg: &L2Config) -> crate::Resu
     run_l2_pool(store, range, cfg, &ParConfig::default())
 }
 
-/// [`run_l2`] with an explicit worker-pool configuration. Bigram
-/// counting shards across sessions on the pool (see
-/// [`extract_bigrams_pool`]); the G² pass over the deterministic,
-/// sorted type list stays serial — it is a few hundred 2×2 tests.
+/// [`run_l2`] with an explicit worker-pool configuration.
 pub fn run_l2_pool(
     store: &LogStore,
     range: TimeRange,
     cfg: &L2Config,
     par: &ParConfig,
 ) -> crate::Result<L2Result> {
+    mine_l2(store, range, cfg, par, None).map(|(result, _)| result)
+}
+
+/// Technique L2 over `range`: the one body behind [`run_l2_pool`] and
+/// [`crate::window::run_l2_windowed_cached`]. Also returns the number of
+/// start-day buckets walked.
+///
+/// Sessions are reconstructed for the whole range (a linear sweep) and
+/// split into their start-day buckets. With a `cache`, each bucket's
+/// [`BigramCounts`] are probed under a digest of the bucket's exact
+/// session contents — a session the range edge clips changes its
+/// bucket's digest, so boundary effects never replay stale counts — and
+/// only the missing buckets are counted; without one, no digest is taken
+/// and every bucket is counted. Counting shards each bucket's sessions
+/// on the pool (see [`extract_bigrams_pool`]); the buckets merge with
+/// saturating adds, which are order-free, so the counts equal one count
+/// over all sessions. The G² pass over the deterministic, sorted type
+/// list stays serial — it is a few hundred 2×2 tests. Records no trace
+/// event.
+pub(crate) fn mine_l2(
+    store: &LogStore,
+    range: TimeRange,
+    cfg: &L2Config,
+    par: &ParConfig,
+    cache: Option<&mut EvidenceCache>,
+) -> crate::Result<(L2Result, usize)> {
     cfg.validate()?;
     let session_set = reconstruct_range(store, range, &cfg.session);
-    let bigrams = extract_bigrams_pool(&session_set.sessions, cfg.timeout_ms, par);
+    let buckets = day_buckets(&session_set.sessions);
+    let layer = cache.map(|c| Layer {
+        fingerprint: l2_fingerprint(cfg),
+        map: &mut c.l2,
+        hits: &mut c.stats.l2_hits,
+        misses: &mut c.stats.l2_misses,
+    });
+    let per_bucket = walk_units(
+        &buckets,
+        par,
+        layer,
+        |&(day, sessions)| {
+            let day_range = TimeRange {
+                start: Millis(day.saturating_mul(MS_PER_DAY)),
+                end: Millis(day.saturating_add(1).saturating_mul(MS_PER_DAY)),
+            };
+            (day_range, l2_bucket_digest(sessions))
+        },
+        |missing| {
+            missing
+                .iter()
+                .map(|(_, sessions)| extract_bigrams_pool(sessions, cfg.timeout_ms, par))
+                .collect()
+        },
+    );
+    let bigrams = per_bucket
+        .into_iter()
+        .fold(BigramCounts::default(), merge_counts);
     let (detected, outcomes) = associations(&bigrams, cfg);
-    Ok(L2Result {
+    let result = L2Result {
         detected,
         outcomes,
         bigrams,
         session_stats: session_set.stats,
-    })
+    };
+    Ok((result, buckets.len()))
+}
+
+/// Splits start-ordered sessions into their start-day buckets:
+/// contiguous runs, in day order.
+fn day_buckets(sessions: &[Session]) -> Vec<(i64, &[Session])> {
+    let day = |s: &Session| s.start().0.div_euclid(MS_PER_DAY);
+    let mut buckets = Vec::new();
+    let mut rest = sessions;
+    while let Some(first) = rest.first() {
+        let first_day = day(first);
+        let (bucket, tail) = rest.split_at(rest.partition_point(|s| day(s) == first_day));
+        buckets.push((first_day, bucket));
+        rest = tail;
+    }
+    buckets
 }
 
 /// The significance pass of L2: tests every ordered type in `bigrams`
-/// against the χ²₁ gate and collects the detected pair model. Shared
-/// between the batch runner and the windowed cache driver, so both
-/// produce byte-identical outputs from equal counts. Iteration follows
-/// the `BTreeMap` key order — deterministic by construction.
-pub(crate) fn associations(
-    bigrams: &BigramCounts,
-    cfg: &L2Config,
-) -> (PairModel, Vec<PairTypeOutcome>) {
+/// against the χ²₁ gate and collects the detected pair model.
+/// Iteration follows the `BTreeMap` key order — deterministic by
+/// construction.
+fn associations(bigrams: &BigramCounts, cfg: &L2Config) -> (PairModel, Vec<PairTypeOutcome>) {
     let mut detected = PairModel::new();
     let mut outcomes = Vec::new();
     for (&(first, second), &f) in bigrams.joint.iter() {

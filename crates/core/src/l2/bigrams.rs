@@ -69,9 +69,8 @@ pub fn extract_bigrams_pool(
     )
 }
 
-/// Counts one session's bigrams into `counts` — the serial inner loop
-/// (also the per-chunk primitive of the windowed cache driver).
-pub(crate) fn count_session(counts: &mut BigramCounts, session: &Session, timeout_ms: Option<i64>) {
+/// Counts one session's bigrams into `counts` — the serial inner loop.
+fn count_session(counts: &mut BigramCounts, session: &Session, timeout_ms: Option<i64>) {
     for w in session.entries.windows(2) {
         let (first, second) = (w[0], w[1]);
         if first.source == second.source {

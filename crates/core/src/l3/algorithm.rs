@@ -1,10 +1,14 @@
 //! The citation-scanning runner of technique L3.
 
+use crate::cache::{
+    l3_chunk_digest, l3_fingerprint, walk_units, EvidenceCache, L3DayCounts, Layer,
+};
 use crate::model::AppServiceModel;
+use crate::window::day_chunks;
 use logdep_logstore::time::TimeRange;
 use logdep_logstore::{LogRecord, LogStore, SourceId};
 use logdep_par::{par_chunks_fold, ParConfig};
-use logdep_textmatch::{MatchMode, MatcherBuilder, StopPatterns};
+use logdep_textmatch::{MatchMode, Matcher, MatcherBuilder, StopPatterns};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -62,27 +66,6 @@ pub struct L3Result {
     pub scanned_logs: usize,
 }
 
-/// Per-shard scan accumulator: citation counters plus the stop/scan
-/// tallies. Addition-only, so shards merge order-free.
-#[derive(Default)]
-struct ScanShard {
-    citations: BTreeMap<(SourceId, usize), u64>,
-    stopped: usize,
-    scanned: usize,
-}
-
-impl ScanShard {
-    fn merge(mut self, other: ScanShard) -> ScanShard {
-        for (key, count) in other.citations {
-            let slot = self.citations.entry(key).or_insert(0);
-            *slot = slot.saturating_add(count);
-        }
-        self.stopped = self.stopped.saturating_add(other.stopped);
-        self.scanned = self.scanned.saturating_add(other.scanned);
-        self
-    }
-}
-
 /// Runs technique L3 over the records in `range`, scanning for the
 /// given directory ids. Thread count comes from [`ParConfig::default`]
 /// (`LOGDEP_THREADS` or the hardware); results are bit-identical at
@@ -97,12 +80,6 @@ pub fn run_l3(
 }
 
 /// [`run_l3`] with an explicit worker-pool configuration.
-///
-/// The Aho–Corasick automaton is built once and shared read-only; the
-/// log lines fan out in contiguous chunks, each worker counting
-/// citations into a private map, and the shard counters merge by
-/// saturating addition — every line is scanned independently, so the
-/// citation counts equal the serial scan at any thread count.
 pub fn run_l3_pool(
     store: &LogStore,
     range: TimeRange,
@@ -110,48 +87,103 @@ pub fn run_l3_pool(
     cfg: &L3Config,
     par: &ParConfig,
 ) -> crate::Result<L3Result> {
+    Ok(mine_l3(store, range, service_ids, cfg, par, None))
+}
+
+/// Technique L3 over `range`: the one body behind [`run_l3_pool`] and
+/// [`crate::window::run_l3_windowed_cached`].
+///
+/// Citation counts are additive over any partition of the records, so
+/// the range splits at absolute UTC-day boundaries. With a `cache`, each
+/// chunk's counts are probed under a digest of its records and only the
+/// missing chunks are scanned; without one, no digest is taken and every
+/// chunk is scanned. The Aho–Corasick automaton is built once and shared
+/// read-only; a chunk's lines fan out on the pool in contiguous shards,
+/// each counting into a private map, and all counts merge by saturating
+/// addition — every line is scanned independently, so the counts equal
+/// a serial scan at any thread count. `min_citations` is applied once,
+/// to the merged counts. Records no trace event.
+pub(crate) fn mine_l3(
+    store: &LogStore,
+    range: TimeRange,
+    service_ids: &[String],
+    cfg: &L3Config,
+    par: &ParConfig,
+    cache: Option<&mut EvidenceCache>,
+) -> L3Result {
+    let (matcher, services) = citation_matcher(service_ids, cfg);
+    let stops = StopPatterns::new(&cfg.stop_patterns);
+    let scan = |records: &[LogRecord]| {
+        par_chunks_fold(
+            par,
+            records,
+            L3DayCounts::default,
+            |mut counts: L3DayCounts, rec: &LogRecord| {
+                if !stops.is_empty() && stops.matches(&rec.text) {
+                    counts.stopped += 1;
+                    return counts;
+                }
+                counts.scanned += 1;
+                for pattern in matcher.matched_ids(&rec.text) {
+                    if let Some(&svc) = services.get(pattern) {
+                        *counts.citations.entry((rec.source, svc)).or_insert(0) += 1;
+                    }
+                }
+                counts
+            },
+            L3DayCounts::merge,
+        )
+    };
+    let layer = cache.map(|c| Layer {
+        fingerprint: l3_fingerprint(cfg, service_ids),
+        map: &mut c.l3,
+        hits: &mut c.stats.l3_hits,
+        misses: &mut c.stats.l3_misses,
+    });
+    let total = walk_units(
+        &day_chunks(range),
+        par,
+        layer,
+        |&chunk| (chunk, l3_chunk_digest(store.range(chunk))),
+        |missing| {
+            missing
+                .iter()
+                .map(|&&chunk| scan(store.range(chunk)))
+                .collect()
+        },
+    )
+    .into_iter()
+    .fold(L3DayCounts::default(), L3DayCounts::merge);
+
+    let mut detected = AppServiceModel::new();
+    for (&(app, svc), &count) in &total.citations {
+        if count >= cfg.min_citations {
+            detected.insert(app, svc);
+        }
+    }
+    L3Result {
+        detected,
+        citations: total.citations,
+        stopped_logs: usize::try_from(total.stopped).unwrap_or(usize::MAX),
+        scanned_logs: usize::try_from(total.scanned).unwrap_or(usize::MAX),
+    }
+}
+
+/// The directory-id matcher of an L3 run, and the position in
+/// `service_ids` of each of its patterns: an empty id gets no pattern
+/// but keeps its position, so every later id keeps its service index.
+fn citation_matcher(service_ids: &[String], cfg: &L3Config) -> (Matcher, Vec<usize>) {
     let mut builder = MatcherBuilder::new();
     builder.mode(if cfg.whole_word {
         MatchMode::WholeWord
     } else {
         MatchMode::Substring
     });
-    builder.add_all(service_ids.iter().map(String::as_str));
-    let matcher = builder.build();
-    let stops = StopPatterns::new(&cfg.stop_patterns);
-
-    let records = store.range(range);
-    let scan = par_chunks_fold(
-        par,
-        records,
-        ScanShard::default,
-        |mut shard: ScanShard, rec: &LogRecord| {
-            if !stops.is_empty() && stops.matches(&rec.text) {
-                shard.stopped += 1;
-                return shard;
-            }
-            shard.scanned += 1;
-            for svc in matcher.matched_ids(&rec.text) {
-                *shard.citations.entry((rec.source, svc)).or_insert(0) += 1;
-            }
-            shard
-        },
-        ScanShard::merge,
-    );
-
-    let mut detected = AppServiceModel::new();
-    for (&(app, svc), &count) in &scan.citations {
-        if count >= cfg.min_citations {
-            detected.insert(app, svc);
-        }
-    }
-
-    Ok(L3Result {
-        detected,
-        citations: scan.citations,
-        stopped_logs: scan.stopped,
-        scanned_logs: scan.scanned,
-    })
+    let services = (0..service_ids.len())
+        .zip(service_ids)
+        .filter_map(|(position, id)| builder.add(id).map(|_| position))
+        .collect();
+    (builder.build(), services)
 }
 
 #[cfg(test)]

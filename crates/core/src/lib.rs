@@ -73,7 +73,7 @@ pub mod l3;
 pub mod model;
 pub mod window;
 
-pub use cache::{run_l1_cached, run_l1_slots_cached, CacheStats, EvidenceCache, EvidenceKey};
+pub use cache::{run_l1_cached, CacheStats, EvidenceCache, EvidenceKey};
 pub use durable::{
     persist_atomic, plan_signature, repair_store, run_daily_durable, verify_store, DailyPlan,
     DailyReport, DurableError, DurableOp, DurableStore, NoopPolicy, RecoveryEvent, StoreReport,

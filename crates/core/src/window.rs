@@ -1,40 +1,34 @@
 //! Sliding-window incremental pipeline driver.
 //!
 //! The "around the clock" deployment of §1.2: re-mine the trailing
-//! window (say, 7 days) once per day. The batch runners would replay
-//! the whole window; the drivers here route every technique through the
-//! [`EvidenceCache`] so an advance only recomputes the day that entered
-//! the window — the rest hits on content address.
+//! window (say, 7 days) once per day. The drivers here hand every
+//! technique the [`EvidenceCache`], so an advance only recomputes the
+//! day that entered the window — the rest hits on content address.
 //!
 //! Equality with the batch runners is structural, not statistical:
+//! each detector has one body, which walks the window's cache units and
+//! merges and thresholds once, and a batch run is that body with no
+//! cache. The windowed entry points only add the cache, their trace
+//! spans and their counters:
 //!
-//! * **L1** — slot evidence is cached per slot ([`run_l1_cached`]) and
-//!   combined by the very same thresholding pass.
-//! * **L2** — sessions of the window are bucketed by their *start day*;
-//!   each bucket's [`BigramCounts`] is cached under a digest of the
-//!   bucket's sessions and the buckets merge with saturating adds
-//!   (order-free), reproducing the whole-window counts exactly. Gap
-//!   splitting is local, so interior days' buckets are byte-stable as
-//!   the window slides; only the edge days (whose sessions the window
-//!   boundary clips) re-digest and recompute.
-//! * **L3** — citation counts are additive over any partition of the
-//!   records, so the window splits at absolute day boundaries and each
-//!   chunk's counts are cached under a digest of its records.
+//! * **L1** — units are slots ([`run_l1_cached`]).
+//! * **L2** — units are the start-day buckets of the window's sessions
+//!   ([`run_l2_windowed_cached`]); gap splitting is local, so interior
+//!   days' buckets are byte-stable as the window slides, and only the
+//!   edge days, whose sessions the window boundary clips, re-digest and
+//!   recompute.
+//! * **L3** — units are the window's UTC-day record chunks
+//!   ([`run_l3_windowed_cached`]).
 
-use crate::cache::{
-    l2_fingerprint, l3_fingerprint, run_l1_cached, CacheStats, EvidenceCache, EvidenceKey, Fnv,
-    L3DayCounts,
-};
+use crate::cache::{run_l1_cached, CacheStats, EvidenceCache};
 use crate::health::PipelineConfig;
 use crate::l1::L1Result;
-use crate::l2::{associations, count_session, merge_counts, BigramCounts, L2Config, L2Result};
-use crate::l3::{IncrementalL3, L3Config, L3Result};
-use crate::model::AppServiceModel;
+use crate::l2::{mine_l2, L2Config, L2Result};
+use crate::l3::{mine_l3, L3Config, L3Result};
 use logdep_logstore::time::{TimeRange, MS_PER_DAY};
 use logdep_logstore::{LogStore, Millis};
 use logdep_obs::{record, Field};
-use logdep_sessions::{reconstruct_range, Session};
-use std::collections::BTreeMap;
+use logdep_par::ParConfig;
 
 /// Everything one windowed pipeline pass produced, plus the cache
 /// traffic it caused.
@@ -79,19 +73,13 @@ pub fn run_window_cached(
         None => None,
     };
     let l2 = match &cfg.l2 {
-        Some(c) => Some(run_l2_windowed_cached(store, window, c, cache)?),
+        Some(c) => Some(l2_windowed(store, window, c, &cfg.par, cache)?),
         None => None,
     };
-    let l3 = match &cfg.l3 {
-        Some(c) => Some(run_l3_windowed_cached(
-            store,
-            window,
-            service_ids,
-            c,
-            cache,
-        )?),
-        None => None,
-    };
+    let l3 = cfg
+        .l3
+        .as_ref()
+        .map(|c| l3_windowed(store, window, service_ids, c, &cfg.par, cache));
     cache.evict_outside(window);
     let stats = cache.stats().since(&before);
     record(|r| {
@@ -113,18 +101,30 @@ pub fn run_window_cached(
     })
 }
 
-/// Technique L2 over `window` with per-day bigram memoization —
-/// byte-identical to [`crate::l2::run_l2`] on the same window.
+/// Technique L2 over `window` through the cache — byte-identical to
+/// [`crate::l2::run_l2`] on the same window. Thread count comes from
+/// [`ParConfig::default`].
 ///
-/// Sessions are reconstructed for the whole window (cheap — a linear
-/// sweep), bucketed by start day, and each bucket's counts are cached
-/// under a digest of the bucket's exact session contents. A clipped
-/// edge-day session changes its bucket's digest, so boundary effects
-/// can never replay stale counts.
+/// Sessions are bucketed by start day and each bucket's counts are
+/// cached under a digest of the bucket's exact session contents, so
+/// interior days hit as the window slides while the edge days, whose
+/// sessions the window boundary clips, re-digest and recompute.
 pub fn run_l2_windowed_cached(
     store: &LogStore,
     window: TimeRange,
     cfg: &L2Config,
+    cache: &mut EvidenceCache,
+) -> crate::Result<L2Result> {
+    l2_windowed(store, window, cfg, &ParConfig::default(), cache)
+}
+
+/// [`run_l2_windowed_cached`] on an explicit pool, with its `window.l2`
+/// span and `cache.l2.*` counters around the shared L2 body.
+fn l2_windowed(
+    store: &LogStore,
+    window: TimeRange,
+    cfg: &L2Config,
+    par: &ParConfig,
     cache: &mut EvidenceCache,
 ) -> crate::Result<L2Result> {
     cfg.validate()?;
@@ -137,94 +137,28 @@ pub fn run_l2_windowed_cached(
             ],
         );
     });
-    let (hits_before, misses_before) = (cache.stats.l2_hits, cache.stats.l2_misses);
-    let fp = l2_fingerprint(cfg);
-    let session_set = reconstruct_range(store, window, &cfg.session);
-
-    // Bucket sessions by start day. Sessions are ordered by start time,
-    // so buckets are contiguous runs and day order equals session order.
-    let mut buckets: BTreeMap<i64, Vec<&Session>> = BTreeMap::new();
-    for session in &session_set.sessions {
-        buckets
-            .entry(session.start().0.div_euclid(MS_PER_DAY))
-            .or_default()
-            .push(session);
-    }
-
-    let mut bigrams = BigramCounts::default();
-    for (day, sessions) in &buckets {
-        let key = EvidenceKey {
-            fingerprint: fp,
-            start: day.saturating_mul(MS_PER_DAY),
-            end: day.saturating_add(1).saturating_mul(MS_PER_DAY),
-            digest: sessions_digest(sessions),
-        };
-        let counts = match cache.l2.get(&key) {
-            Some(stored) => {
-                cache.stats.l2_hits += 1;
-                stored.clone()
-            }
-            None => {
-                cache.stats.l2_misses += 1;
-                let mut fresh = BigramCounts::default();
-                for session in sessions {
-                    count_session(&mut fresh, session, cfg.timeout_ms);
-                }
-                cache.l2.insert(key, fresh.clone());
-                fresh
-            }
-        };
-        bigrams = merge_counts(bigrams, counts);
-    }
-
-    let (detected, outcomes) = associations(&bigrams, cfg);
-    let (hits, misses) = (
-        cache.stats.l2_hits - hits_before,
-        cache.stats.l2_misses - misses_before,
-    );
+    let before = cache.stats;
+    let (result, buckets) = mine_l2(store, window, cfg, par, Some(cache))?;
+    let delta = cache.stats.since(&before);
     record(|r| {
-        r.counter_add("cache.l2.hits", hits);
-        r.counter_add("cache.l2.misses", misses);
+        r.counter_add("cache.l2.hits", delta.l2_hits);
+        r.counter_add("cache.l2.misses", delta.l2_misses);
         r.span_end(
             "window.l2",
             &[
-                ("buckets", Field::from(buckets.len())),
-                ("hits", Field::from(hits)),
-                ("misses", Field::from(misses)),
-                ("detected", Field::from(detected.len())),
+                ("buckets", Field::from(buckets)),
+                ("hits", Field::from(delta.l2_hits)),
+                ("misses", Field::from(delta.l2_misses)),
+                ("detected", Field::from(result.detected.len())),
             ],
         );
     });
-    Ok(L2Result {
-        detected,
-        outcomes,
-        bigrams,
-        session_stats: session_set.stats,
-    })
+    Ok(result)
 }
 
-/// Digest of one day bucket's sessions: every user/host key and every
-/// entry's timestamp and source, length-framed per session so adjacent
-/// sessions cannot alias.
-fn sessions_digest(sessions: &[&Session]) -> u64 {
-    let mut f = Fnv::new();
-    f.push_u64(sessions.len() as u64);
-    for session in sessions {
-        f.push_u64(u64::from(session.user.0));
-        f.push_u64(u64::from(session.host.0));
-        f.push_u64(session.entries.len() as u64);
-        for entry in &session.entries {
-            f.push_i64(entry.ts.0);
-            f.push_u64(u64::from(entry.source.0));
-        }
-    }
-    f.finish()
-}
-
-/// Technique L3 over `window` with per-day-chunk count memoization —
-/// byte-identical to [`crate::l3::run_l3`] on the same window.
-/// Each chunk's miss path feeds its records through a fresh
-/// [`IncrementalL3`], the very scanner the streaming deployment uses.
+/// Technique L3 over `window` through the cache, one entry per UTC-day
+/// chunk — byte-identical to [`crate::l3::run_l3`] on the same window.
+/// Thread count comes from [`ParConfig::default`].
 pub fn run_l3_windowed_cached(
     store: &LogStore,
     window: TimeRange,
@@ -232,6 +166,26 @@ pub fn run_l3_windowed_cached(
     cfg: &L3Config,
     cache: &mut EvidenceCache,
 ) -> crate::Result<L3Result> {
+    Ok(l3_windowed(
+        store,
+        window,
+        service_ids,
+        cfg,
+        &ParConfig::default(),
+        cache,
+    ))
+}
+
+/// [`run_l3_windowed_cached`] on an explicit pool, with its `window.l3`
+/// span and `cache.l3.*` counters around the shared L3 body.
+fn l3_windowed(
+    store: &LogStore,
+    window: TimeRange,
+    service_ids: &[String],
+    cfg: &L3Config,
+    par: &ParConfig,
+    cache: &mut EvidenceCache,
+) -> L3Result {
     record(|r| {
         r.span_begin(
             "window.l3",
@@ -241,91 +195,29 @@ pub fn run_l3_windowed_cached(
             ],
         );
     });
-    let (hits_before, misses_before) = (cache.stats.l3_hits, cache.stats.l3_misses);
-    let fp = l3_fingerprint(cfg, service_ids);
-    let mut citations: BTreeMap<(logdep_logstore::SourceId, usize), u64> = BTreeMap::new();
-    let mut scanned = 0u64;
-    let mut stopped = 0u64;
-
-    let chunks = day_chunks(window);
-    let n_chunks = chunks.len();
-    for chunk in chunks {
-        let records = store.range(chunk);
-        let mut digest = Fnv::new();
-        digest.push_u64(records.len() as u64);
-        for rec in records {
-            digest.push_i64(rec.client_ts.0);
-            digest.push_u64(u64::from(rec.source.0));
-            digest.push_str(&rec.text);
-        }
-        let key = EvidenceKey {
-            fingerprint: fp,
-            start: chunk.start.0,
-            end: chunk.end.0,
-            digest: digest.finish(),
-        };
-        let day = match cache.l3.get(&key) {
-            Some(stored) => {
-                cache.stats.l3_hits += 1;
-                stored.clone()
-            }
-            None => {
-                cache.stats.l3_misses += 1;
-                let mut inc = IncrementalL3::new(service_ids, cfg);
-                inc.observe_batch(records);
-                let (s, p) = inc.stats();
-                let fresh = L3DayCounts {
-                    citations: inc.citation_counts(),
-                    scanned: s as u64,
-                    stopped: p as u64,
-                };
-                cache.l3.insert(key, fresh.clone());
-                fresh
-            }
-        };
-        for (k, c) in day.citations {
-            let slot = citations.entry(k).or_insert(0);
-            *slot = slot.saturating_add(c);
-        }
-        scanned = scanned.saturating_add(day.scanned);
-        stopped = stopped.saturating_add(day.stopped);
-    }
-
-    let mut detected = AppServiceModel::new();
-    for (&(app, svc), &count) in &citations {
-        if count >= cfg.min_citations {
-            detected.insert(app, svc);
-        }
-    }
-    let (hits, misses) = (
-        cache.stats.l3_hits - hits_before,
-        cache.stats.l3_misses - misses_before,
-    );
+    let before = cache.stats;
+    let result = mine_l3(store, window, service_ids, cfg, par, Some(cache));
+    let delta = cache.stats.since(&before);
     record(|r| {
-        r.counter_add("cache.l3.hits", hits);
-        r.counter_add("cache.l3.misses", misses);
+        r.counter_add("cache.l3.hits", delta.l3_hits);
+        r.counter_add("cache.l3.misses", delta.l3_misses);
         r.span_end(
             "window.l3",
             &[
-                ("days", Field::from(n_chunks)),
-                ("hits", Field::from(hits)),
-                ("misses", Field::from(misses)),
-                ("detected", Field::from(detected.len())),
+                ("days", Field::from(day_chunks(window).len())),
+                ("hits", Field::from(delta.l3_hits)),
+                ("misses", Field::from(delta.l3_misses)),
+                ("detected", Field::from(result.detected.len())),
             ],
         );
     });
-    Ok(L3Result {
-        detected,
-        citations,
-        stopped_logs: usize::try_from(stopped).unwrap_or(usize::MAX),
-        scanned_logs: usize::try_from(scanned).unwrap_or(usize::MAX),
-    })
+    result
 }
 
 /// Splits `window` at absolute day boundaries (partial edge chunks
 /// allowed). Chunk addresses are absolute, so a chunk keeps its cache
 /// key as the window slides.
-fn day_chunks(window: TimeRange) -> Vec<TimeRange> {
+pub(crate) fn day_chunks(window: TimeRange) -> Vec<TimeRange> {
     let mut chunks = Vec::new();
     let mut t = window.start;
     while t < window.end {
