@@ -25,7 +25,7 @@ use logdep::health::{run_pipeline, PipelineConfig};
 use logdep::window::{
     run_l2_windowed_cached, run_l3_windowed_cached, run_window_cached, WindowOutcome,
 };
-use logdep_bench::workbench::{write_report, Workbench, DEFAULT_SEED};
+use logdep_bench::workbench::{bench_args, write_report, BenchArgs, Workbench};
 use logdep_logstore::time::TimeRange;
 use logdep_logstore::LogStore;
 use logdep_logstore::Millis;
@@ -162,31 +162,11 @@ fn timed_window(
 }
 
 fn main() {
-    let mut seed = DEFAULT_SEED;
-    let mut scale = 0.5f64;
-    let mut smoke = false;
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" if i + 1 < args.len() => {
-                seed = args[i + 1].parse().expect("--seed takes an integer");
-                i += 2;
-            }
-            "--scale" if i + 1 < args.len() => {
-                scale = args[i + 1].parse().expect("--scale takes a float");
-                i += 2;
-            }
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-            }
-            other => {
-                eprintln!("ignoring unknown argument {other:?}");
-                i += 1;
-            }
-        }
-    }
+    let BenchArgs {
+        seed,
+        mut scale,
+        smoke,
+    } = bench_args(0.5);
     let window_days: i64 = if smoke { 2 } else { 7 };
     let n_advances: i64 = if smoke { 1 } else { 7 };
     if smoke {

@@ -25,7 +25,7 @@ use logdep::durable::{
 };
 use logdep::health::PipelineConfig;
 use logdep::window::WindowOutcome;
-use logdep_bench::workbench::{write_report, Workbench, DEFAULT_SEED};
+use logdep_bench::workbench::{bench_args, write_report, BenchArgs, Workbench};
 use logdep_par::ParConfig;
 use logdep_sim::SimConfig;
 use serde::Serialize;
@@ -133,31 +133,11 @@ fn run(
 }
 
 fn main() {
-    let mut seed = DEFAULT_SEED;
-    let mut scale = 0.5f64;
-    let mut smoke = false;
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" if i + 1 < args.len() => {
-                seed = args[i + 1].parse().expect("--seed takes an integer");
-                i += 2;
-            }
-            "--scale" if i + 1 < args.len() => {
-                scale = args[i + 1].parse().expect("--scale takes a float");
-                i += 2;
-            }
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-            }
-            other => {
-                eprintln!("ignoring unknown argument {other:?}");
-                i += 1;
-            }
-        }
-    }
+    let BenchArgs {
+        seed,
+        mut scale,
+        smoke,
+    } = bench_args(0.5);
     let window_days: i64 = if smoke { 2 } else { 7 };
     let steps: u64 = if smoke { 2 } else { 6 };
     if smoke {

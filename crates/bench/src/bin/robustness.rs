@@ -19,7 +19,7 @@
 
 use logdep::health::{run_pipeline, PipelineConfig, PipelineOutcome};
 use logdep::model::{diff_app_service, diff_pairs, AppServiceModel, PairModel};
-use logdep_bench::workbench::{write_report, Workbench, DEFAULT_SEED};
+use logdep_bench::workbench::{bench_args, write_report, BenchArgs, Workbench};
 use logdep_faults::{inject, FaultConfig};
 use logdep_logstore::codec::write_store;
 use logdep_logstore::ingest::{read_store_resilient, IngestPolicy};
@@ -189,31 +189,7 @@ fn pipeline_config(wb: &Workbench) -> PipelineConfig {
 }
 
 fn main() {
-    let mut seed = DEFAULT_SEED;
-    let mut scale = 0.5f64;
-    let mut smoke = false;
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" if i + 1 < args.len() => {
-                seed = args[i + 1].parse().expect("--seed takes an integer");
-                i += 2;
-            }
-            "--scale" if i + 1 < args.len() => {
-                scale = args[i + 1].parse().expect("--scale takes a float");
-                i += 2;
-            }
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-            }
-            other => {
-                eprintln!("ignoring unknown argument {other:?}");
-                i += 1;
-            }
-        }
-    }
+    let BenchArgs { seed, scale, smoke } = bench_args(0.5);
 
     let mut cfg = logdep_sim::SimConfig::paper_week(seed, if smoke { 0.15 } else { scale });
     if smoke {

@@ -14,7 +14,7 @@
 
 use logdep::health::PipelineConfig;
 use logdep::EvidenceCache;
-use logdep_bench::workbench::{write_report, Workbench, DEFAULT_SEED};
+use logdep_bench::workbench::{bench_args, write_report, BenchArgs, Workbench};
 use logdep_par::ParConfig;
 use logdep_serve::{HttpClient, IndexPlan, ModelIndex, ServeConfig, Server, ServerHandle};
 use logdep_sim::SimConfig;
@@ -92,31 +92,11 @@ fn with_server<T>(workers: usize, index: ModelIndex, body: impl FnOnce(&ServerHa
 }
 
 fn main() {
-    let mut seed = DEFAULT_SEED;
-    let mut scale = 0.3f64;
-    let mut smoke = false;
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" if i + 1 < args.len() => {
-                seed = args[i + 1].parse().expect("--seed takes an integer");
-                i += 2;
-            }
-            "--scale" if i + 1 < args.len() => {
-                scale = args[i + 1].parse().expect("--scale takes a float");
-                i += 2;
-            }
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-            }
-            other => {
-                eprintln!("ignoring unknown argument {other:?}");
-                i += 1;
-            }
-        }
-    }
+    let BenchArgs {
+        seed,
+        mut scale,
+        smoke,
+    } = bench_args(0.3);
     if smoke {
         scale = 0.15;
     }

@@ -133,21 +133,40 @@ pub fn write_report<T: Serialize>(name: &str, value: &T) -> PathBuf {
     path
 }
 
-/// Parses `--seed N` and `--scale X` from argv, with defaults.
-pub fn cli_seed_scale() -> (u64, f64) {
-    let mut seed = DEFAULT_SEED;
-    let mut scale = DEFAULT_SCALE;
+/// The arguments the bench bins take.
+pub struct BenchArgs {
+    /// `--seed N` (default [`DEFAULT_SEED`]).
+    pub seed: u64,
+    /// `--scale X` (default: the bin's own).
+    pub scale: f64,
+    /// `--smoke`: the bin's cheap CI variant.
+    pub smoke: bool,
+}
+
+/// Parses `--seed N`, `--scale X` and `--smoke` from argv, warning
+/// about (and skipping) anything else. `default_scale` is the bin's
+/// scale when `--scale` is absent.
+pub fn bench_args(default_scale: f64) -> BenchArgs {
+    let mut parsed = BenchArgs {
+        seed: DEFAULT_SEED,
+        scale: default_scale,
+        smoke: false,
+    };
     let args: Vec<String> = std::env::args().collect();
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
             "--seed" if i + 1 < args.len() => {
-                seed = args[i + 1].parse().expect("--seed takes an integer");
+                parsed.seed = args[i + 1].parse().expect("--seed takes an integer");
                 i += 2;
             }
             "--scale" if i + 1 < args.len() => {
-                scale = args[i + 1].parse().expect("--scale takes a float");
+                parsed.scale = args[i + 1].parse().expect("--scale takes a float");
                 i += 2;
+            }
+            "--smoke" => {
+                parsed.smoke = true;
+                i += 1;
             }
             other => {
                 eprintln!("ignoring unknown argument {other:?}");
@@ -155,5 +174,15 @@ pub fn cli_seed_scale() -> (u64, f64) {
             }
         }
     }
-    (seed, scale)
+    parsed
+}
+
+/// [`bench_args`] for the bins without a smoke mode: `--seed N` and
+/// `--scale X` (default [`DEFAULT_SCALE`]); `--smoke` is unknown here.
+pub fn cli_seed_scale() -> (u64, f64) {
+    let args = bench_args(DEFAULT_SCALE);
+    if args.smoke {
+        eprintln!("ignoring unknown argument \"--smoke\"");
+    }
+    (args.seed, args.scale)
 }

@@ -644,8 +644,9 @@ fn daily_trace_is_byte_identical_across_thread_widths() {
     assert!(text.contains("\"name\":\"daily\""), "{text}");
     assert!(text.contains("\"name\":\"daily.step\""), "{text}");
     assert!(text.contains("\"name\":\"window\""), "{text}");
-    // The daily path mines through the cached window functions, so the
-    // only detector-health span is the durable store's own.
+    // The daily path mines through the same body as the batch
+    // pipeline, so the detectors' health spans sit next to the store's.
+    assert!(text.contains("\"name\":\"detector.l1\""), "{text}");
     assert!(text.contains("\"name\":\"detector.store\""), "{text}");
 }
 
@@ -673,7 +674,9 @@ fn daily_metrics_summarize_the_run() {
     // Text report: detector and cache lines.
     let (code, out) = daily(&["--metrics"]);
     assert_eq!(code, 0, "{out}");
-    assert!(out.contains("detector store:"), "{out}");
+    for detector in ["l1", "l2", "l3", "store"] {
+        assert!(out.contains(&format!("detector {detector}:")), "{out}");
+    }
     assert!(out.contains("cache l1:"), "{out}");
 
     // JSON report on the now-warm cache shows hits and zero misses.

@@ -27,6 +27,10 @@
 //! day) and computes only the misses; given none it takes no digest and
 //! computes every unit. The batch runners are those bodies with no
 //! cache, so cached and batch runs agree bit for bit by construction.
+//! The cached entry points here and in [`crate::window`] record no
+//! trace event; the `cache.<layer>.hits/misses` counters and the spans
+//! around each detector belong to the pipeline's one mining body in
+//! [`crate::health`].
 //!
 //! [`Timeline::digest_neighborhood`]: logdep_logstore::Timeline::digest_neighborhood
 
@@ -35,7 +39,6 @@ use crate::l2::{BigramCounts, L2Config};
 use crate::l3::L3Config;
 use logdep_logstore::time::TimeRange;
 use logdep_logstore::{LogRecord, LogStore, SourceId};
-use logdep_obs::{record, Field};
 use logdep_par::{par_map, ParConfig};
 use logdep_sessions::Session;
 use serde::{Deserialize, Serialize};
@@ -307,9 +310,7 @@ pub(crate) fn l1_slot_digest(
 
 /// Technique L1 over the slot grid of `range` through the cache —
 /// [`crate::l1::run_l1_pool`]'s body with a cache, so the result is
-/// byte-identical to it at every thread count and cache state. Records
-/// the `window.l1` and `l1.slots` spans and the `cache.l1.*` counters
-/// around the body, which itself records nothing.
+/// byte-identical to it at every thread count and cache state.
 pub fn run_l1_cached(
     store: &LogStore,
     range: TimeRange,
@@ -320,32 +321,7 @@ pub fn run_l1_cached(
 ) -> crate::Result<L1Result> {
     cfg.validate()?;
     let slots = range.split(cfg.slot_ms);
-    record(|r| {
-        r.span_begin(
-            "window.l1",
-            &[
-                ("start_ms", Field::from(range.start.0)),
-                ("end_ms", Field::from(range.end.0)),
-            ],
-        );
-        r.span_begin("l1.slots", &[("slots", Field::from(slots.len()))]);
-    });
-    let before = cache.stats;
-    let result = mine_l1(store, &slots, sources, cfg, par, Some(cache));
-    let delta = cache.stats.since(&before);
-    record(|r| {
-        r.counter_add("cache.l1.hits", delta.l1_hits);
-        r.counter_add("cache.l1.misses", delta.l1_misses);
-        r.span_end(
-            "l1.slots",
-            &[
-                ("hits", Field::from(delta.l1_hits)),
-                ("misses", Field::from(delta.l1_misses)),
-            ],
-        );
-        r.span_end("window.l1", &[("slots", Field::from(slots.len()))]);
-    });
-    result
+    mine_l1(store, &slots, sources, cfg, par, Some(cache))
 }
 
 /// One cached layer of an [`EvidenceCache`] as a detector run sees it:

@@ -1,4 +1,4 @@
-//! Graceful degradation: run the detectors in isolation, report health.
+//! Graceful degradation and the one mining body.
 //!
 //! On a hostile stream (see the `logdep-faults` injector) a single
 //! detector can fail — L2's session reconstruction starved of user
@@ -6,15 +6,26 @@
 //! upstream scaling. The paper's deployment ran continuously against a
 //! moving landscape; an operator tool that aborts the whole mining run
 //! because one of three independent evidence sources failed is useless
-//! there. [`run_pipeline`] therefore isolates each detector, converts
-//! its failure into a [`DetectorHealth`] entry, and hands whatever
-//! subset succeeded to [`Ensemble::combine_partial`], whose vote
-//! thresholds rescale to the surviving detectors.
+//! there.
+//!
+//! `mine` is the one body every mining run goes through: it runs L1,
+//! L2 and L3 in that order on the calling thread (each detector fans
+//! its own units out on the pool), isolates each detector's error into
+//! a [`DetectorHealth`] row, times it, and records its `detector.<slug>`
+//! span plus, when given the evidence cache, its `cache.<slug>.*`
+//! counters. [`run_pipeline`] is that body with no cache, handing
+//! whatever subset succeeded to [`Ensemble::combine_partial`], whose
+//! vote thresholds rescale to the surviving detectors;
+//! [`crate::window::run_window_cached`] is that body with the cache.
+//! This is the only module that reads the wall clock, and the time it
+//! measures reaches a run's metrics only when the recorder has an
+//! injected clock.
 
+use crate::cache::EvidenceCache;
 use crate::ensemble::{app_service_to_pairs, Ensemble};
-use crate::l1::{run_l1_pool, L1Config};
-use crate::l2::{run_l2_pool, L2Config};
-use crate::l3::{run_l3_pool, L3Config};
+use crate::l1::{mine_l1, L1Config, L1Result};
+use crate::l2::{mine_l2, L2Config, L2Result};
+use crate::l3::{mine_l3, L3Config, L3Result};
 use crate::model::{AppServiceModel, PairModel};
 use logdep_logstore::time::TimeRange;
 use logdep_logstore::{LogStore, SourceId};
@@ -182,51 +193,76 @@ impl PipelineOutcome {
     }
 }
 
-/// Runs one detector when it is configured, timing it and turning its
-/// result (or error) into a health row plus the detected model.
+/// Runs one detector when it is configured, inside its
+/// `detector.<slug>` span, timing it and turning its result (or error)
+/// into a health row. The span's end carries the layer's cache traffic
+/// when a cache was given.
 fn step<C, M>(
     detector: DetectorKind,
     cfg: Option<&C>,
-    run_detector: impl FnOnce(&C) -> crate::Result<M>,
+    mut cache: Option<&mut EvidenceCache>,
+    run_detector: impl FnOnce(&C, Option<&mut EvidenceCache>) -> crate::Result<M>,
     n_detected: impl FnOnce(&M) -> usize,
-) -> (DetectorHealth, Option<M>) {
-    let Some(cfg) = cfg else {
-        return (DetectorHealth::disabled(detector), None);
+) -> (DetectorHealth, Option<crate::Result<M>>) {
+    begin_detector(detector, cfg.is_some());
+    let before = cache.as_deref().map(EvidenceCache::stats);
+    let (health, outcome) = match cfg {
+        None => (DetectorHealth::disabled(detector), None),
+        Some(cfg) => {
+            let start = Instant::now();
+            let outcome = run_detector(cfg, cache.as_deref_mut());
+            let us = elapsed_us(start);
+            let health = match &outcome {
+                Ok(model) => DetectorHealth::ran(detector, n_detected(model), us),
+                Err(e) => DetectorHealth::failed(detector, e.to_string(), us),
+            };
+            (health, Some(outcome))
+        }
     };
-    let start = Instant::now();
-    let outcome = run_detector(cfg);
-    let us = elapsed_us(start);
-    match outcome {
-        Ok(model) => (
-            DetectorHealth::ran(detector, n_detected(&model), us),
-            Some(model),
-        ),
-        Err(e) => (DetectorHealth::failed(detector, e.to_string(), us), None),
-    }
+    let traffic = cache.zip(before).map(|(c, b)| {
+        let d = c.stats().since(&b);
+        match detector {
+            DetectorKind::L1 => (d.l1_hits, d.l1_misses),
+            DetectorKind::L2 => (d.l2_hits, d.l2_misses),
+            DetectorKind::L3 => (d.l3_hits, d.l3_misses),
+            DetectorKind::Store => (0, 0),
+        }
+    });
+    end_detector(&health, traffic);
+    (health, outcome)
 }
 
 fn elapsed_us(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Emits one detector's trace span and metrics from its health row.
-///
-/// Always called from the orchestration thread *after* the detector
-/// finished (never from pool workers), so the event stream is
-/// identical at every thread width; the wall-clock `elapsed_us` goes
-/// only into the metrics histogram, never into the trace.
-pub(crate) fn record_detector_health(h: &DetectorHealth) {
+fn begin_detector(detector: DetectorKind, enabled: bool) {
+    record(|r| {
+        let name = format!("detector.{}", detector.slug());
+        r.span_begin(&name, &[("enabled", Field::from(enabled))]);
+    });
+}
+
+/// Closes a detector's span and records its metrics from its health
+/// row, plus its `cache.<slug>.hits/misses` counters when `traffic` is
+/// given. Called from the orchestration thread only (never from pool
+/// workers), so the event stream is identical at every thread width;
+/// the wall-clock `elapsed_us` goes only into the metrics histogram,
+/// never into the trace.
+fn end_detector(h: &DetectorHealth, traffic: Option<(u64, u64)>) {
     record(|r| {
         let slug = h.detector.slug();
-        let name = format!("detector.{slug}");
-        r.span_begin(&name, &[("enabled", Field::from(h.enabled))]);
-        r.span_end(
-            &name,
-            &[
-                ("ok", Field::from(h.ok)),
-                ("detected", Field::from(h.detected)),
-            ],
-        );
+        let mut fields = vec![
+            ("ok", Field::from(h.ok)),
+            ("detected", Field::from(h.detected)),
+        ];
+        if let Some((hits, misses)) = traffic {
+            r.counter_add(&format!("cache.{slug}.hits"), hits);
+            r.counter_add(&format!("cache.{slug}.misses"), misses);
+            fields.push(("hits", Field::from(hits)));
+            fields.push(("misses", Field::from(misses)));
+        }
+        r.span_end(&format!("detector.{slug}"), &fields);
         r.gauge_set(&format!("detector.{slug}.enabled"), i64::from(h.enabled));
         r.gauge_set(&format!("detector.{slug}.ok"), i64::from(h.ok));
         r.counter_add(&format!("detector.{slug}.detected"), h.detected as u64);
@@ -234,17 +270,75 @@ pub(crate) fn record_detector_health(h: &DetectorHealth) {
     });
 }
 
+/// Emits a detector's span and metrics from a health row computed
+/// elsewhere (the durable store's standing).
+pub(crate) fn record_detector_health(h: &DetectorHealth) {
+    begin_detector(h.detector, h.enabled);
+    end_detector(h, None);
+}
+
+/// What one [`mine`] run produced: a health row per detector, in L1,
+/// L2, L3 order, and each enabled detector's result or error.
+pub(crate) struct Mined {
+    pub(crate) health: Vec<DetectorHealth>,
+    pub(crate) l1: Option<crate::Result<L1Result>>,
+    pub(crate) l2: Option<crate::Result<L2Result>>,
+    pub(crate) l3: Option<crate::Result<L3Result>>,
+}
+
+/// The one mining body: L1, L2 and L3 over `range`, in that order on
+/// the calling thread, each in isolation through [`step`] (each
+/// detector fans its own units out on `cfg.par`). With a `cache`, every
+/// detector probes it and computes only the misses; without one, every
+/// unit is computed. A batch run is this body with no cache, a windowed
+/// run this body with the cache.
+pub(crate) fn mine(
+    store: &LogStore,
+    range: TimeRange,
+    service_ids: &[String],
+    cfg: &PipelineConfig,
+    mut cache: Option<&mut EvidenceCache>,
+) -> Mined {
+    let par = &cfg.par;
+    let (h1, l1) = step(
+        DetectorKind::L1,
+        cfg.l1.as_ref(),
+        cache.as_deref_mut(),
+        |c, cache| {
+            c.validate()?;
+            let slots = range.split(c.slot_ms);
+            mine_l1(store, &slots, &store.active_sources(), c, par, cache)
+        },
+        |r| r.detected.len(),
+    );
+    let (h2, l2) = step(
+        DetectorKind::L2,
+        cfg.l2.as_ref(),
+        cache.as_deref_mut(),
+        |c, cache| mine_l2(store, range, c, par, cache),
+        |r| r.detected.len(),
+    );
+    let (h3, l3) = step(
+        DetectorKind::L3,
+        cfg.l3.as_ref(),
+        cache,
+        |c, cache| Ok(mine_l3(store, range, service_ids, c, par, cache)),
+        |r| r.detected.len(),
+    );
+    Mined {
+        health: vec![h1, h2, h3],
+        l1,
+        l2,
+        l3,
+    }
+}
+
 /// Runs L1/L2/L3 in isolation over `range`, never failing as a whole:
 /// a detector erroring yields a [`DetectorHealth`] entry with `ok:
 /// false` while the others proceed, and the returned
 /// [`Ensemble`] combines the partial detector set (vote thresholds
-/// rescale via [`Ensemble::at_least_rescaled`]).
-///
-/// With `cfg.par` above one thread the three detectors also run
-/// *concurrently* on a [`logdep_par::scope`] (L1 and L2 on pool
-/// workers, L3 on the calling thread), each internally sharding on the
-/// same pool configuration. `threads = 1` is the plain sequential
-/// loop; either way the outputs are bit-identical, only
+/// rescale via [`Ensemble::at_least_rescaled`]). The outputs are
+/// bit-identical at every `cfg.par` width; only
 /// [`DetectorHealth::elapsed_us`] varies.
 ///
 /// `owners` maps service index → owning application (as in
@@ -257,7 +351,6 @@ pub fn run_pipeline(
     owners: Option<&[SourceId]>,
     cfg: &PipelineConfig,
 ) -> PipelineOutcome {
-    let par = &cfg.par;
     record(|r| {
         r.span_begin(
             "pipeline",
@@ -267,69 +360,22 @@ pub fn run_pipeline(
             ],
         );
     });
-    let l1_step = || {
-        step(
-            DetectorKind::L1,
-            cfg.l1.as_ref(),
-            |c| run_l1_pool(store, range, &store.active_sources(), c, par).map(|r| r.detected),
-            PairModel::len,
-        )
-    };
-    let l2_step = || {
-        step(
-            DetectorKind::L2,
-            cfg.l2.as_ref(),
-            |c| run_l2_pool(store, range, c, par).map(|r| r.detected),
-            PairModel::len,
-        )
-    };
-    let l3_step = || {
-        step(
-            DetectorKind::L3,
-            cfg.l3.as_ref(),
-            |c| run_l3_pool(store, range, service_ids, c, par).map(|r| r.detected),
-            AppServiceModel::len,
-        )
-    };
-    let ((h1, l1_pairs), (h2, l2_pairs), (h3, l3_deps)) = if par.is_serial() {
-        (l1_step(), l2_step(), l3_step())
-    } else {
-        logdep_par::scope(|s| {
-            let t1 = s.spawn(l1_step);
-            let t2 = s.spawn(l2_step);
-            let r3 = l3_step();
-            let r1 = match t1.join() {
-                Ok(r) => r,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            let r2 = match t2.join() {
-                Ok(r) => r,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            (r1, r2, r3)
-        })
-    };
-
-    // Detector spans are emitted here — after both branches converge,
-    // in fixed L1/L2/L3 order, from the caller thread — so the trace
-    // is byte-identical whether the steps ran serial or concurrent.
-    record_detector_health(&h1);
-    record_detector_health(&h2);
-    record_detector_health(&h3);
-    let ok_count = [&h1, &h2, &h3].iter().filter(|h| h.ok).count();
+    let mined = mine(store, range, service_ids, cfg, None);
+    let ok_count = mined.health.iter().filter(|h| h.ok).count();
     record(|r| {
         r.span_end("pipeline", &[("detectors_ok", Field::from(ok_count))]);
     });
 
+    let l3_deps = mined.l3.and_then(Result::ok).map(|r| r.detected);
     let mut out = PipelineOutcome {
-        l1_pairs,
-        l2_pairs,
+        l1_pairs: mined.l1.and_then(Result::ok).map(|r| r.detected),
+        l2_pairs: mined.l2.and_then(Result::ok).map(|r| r.detected),
         l3_pairs: match (&l3_deps, owners) {
             (Some(deps), Some(o)) => Some(app_service_to_pairs(deps, o)),
             _ => None,
         },
         l3_deps,
-        health: vec![h1, h2, h3],
+        health: mined.health,
         ..PipelineOutcome::default()
     };
     out.ensemble = Ensemble::combine_partial(
@@ -344,6 +390,7 @@ pub fn run_pipeline(
 mod tests {
     use super::*;
     use logdep_logstore::{LogRecord, Millis};
+    use logdep_obs::{set_recorder, take_recorder, Recorder};
 
     /// A store where AppA cites service SVCB (owned by AppB) and both
     /// log densely enough for L1/L2 to have something to chew on.
@@ -479,6 +526,68 @@ mod tests {
             assert!(a.ok && a.elapsed_us > 0, "{a:?}");
             assert!(b.elapsed_us > 0, "{b:?}");
         }
+    }
+
+    /// `run_pipeline` under `recorder`, returning the drained recorder.
+    fn recorded_pipeline(recorder: Recorder) -> Recorder {
+        let (store, ids, owners) = fixture();
+        assert!(set_recorder(recorder).is_none());
+        run_pipeline(
+            &store,
+            full_range(),
+            &ids,
+            Some(&owners),
+            &PipelineConfig::all_defaults(),
+        );
+        take_recorder().expect("recorder installed above")
+    }
+
+    #[test]
+    fn clock_free_report_is_reproducible() {
+        let first = recorded_pipeline(Recorder::new()).report();
+        let second = recorded_pipeline(Recorder::new()).report();
+        assert_eq!(first.render_json(), second.render_json());
+        assert_eq!(first.detectors.len(), 3);
+        assert!(first.detectors.iter().all(|d| d.ok && d.elapsed_us == 0));
+        // Under an injected clock the rows keep the measured time.
+        let clocked = recorded_pipeline(Recorder::with_clock(|| 0)).report();
+        assert!(clocked.detectors.iter().all(|d| d.elapsed_us > 0));
+    }
+
+    #[test]
+    fn bad_l1_config_fails_the_window_but_degrades_the_batch() {
+        let (store, ids, owners) = fixture();
+        let mut cfg = PipelineConfig::all_defaults();
+        if let Some(l1) = cfg.l1.as_mut() {
+            l1.slot_ms = -5;
+        }
+        let err = crate::window::run_window_cached(
+            &store,
+            full_range(),
+            &ids,
+            &cfg,
+            &mut EvidenceCache::new(),
+        )
+        .expect_err("an invalid L1 config fails the windowed run");
+        let l1_err = L1Config {
+            slot_ms: -5,
+            ..L1Config::default()
+        }
+        .validate()
+        .expect_err("negative slot width");
+        assert_eq!(err.to_string(), l1_err.to_string());
+
+        let out = run_pipeline(&store, full_range(), &ids, Some(&owners), &cfg);
+        let ok: Vec<_> = out.health.iter().map(|h| (h.detector, h.ok)).collect();
+        assert_eq!(
+            ok,
+            [
+                (DetectorKind::L1, false),
+                (DetectorKind::L2, true),
+                (DetectorKind::L3, true)
+            ]
+        );
+        assert_eq!(out.health[0].error, Some(err.to_string()));
     }
 
     #[test]

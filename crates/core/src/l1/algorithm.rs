@@ -86,7 +86,8 @@ pub fn run_l1_slots(
 }
 
 /// Technique L1 over an explicit slot list: the one body behind
-/// [`run_l1_pool`], [`run_l1_slots`] and [`crate::cache::run_l1_cached`].
+/// [`run_l1_pool`], [`run_l1_slots`], [`crate::cache::run_l1_cached`]
+/// and the pipeline's mining body.
 ///
 /// With a `cache`, every slot is first probed by its content address and
 /// only the misses are computed (their evidence is stored for the next
@@ -97,8 +98,8 @@ pub fn run_l1_slots(
 /// [`slot_token`]), so the missing slots fan out on the pool, sharing
 /// one median-CI rank table, and the per-slot evidence is merged by
 /// counting in canonical slot-then-pair order — the exact accumulation
-/// a serial loop performs. Records no trace event: the batch runners
-/// run on pipeline scope threads.
+/// a serial loop performs. Records no trace event: the detector span
+/// and cache counters belong to the pipeline's mining body.
 pub(crate) fn mine_l1(
     store: &LogStore,
     slots: &[TimeRange],

@@ -112,12 +112,12 @@ pub fn run_l2_pool(
     cfg: &L2Config,
     par: &ParConfig,
 ) -> crate::Result<L2Result> {
-    mine_l2(store, range, cfg, par, None).map(|(result, _)| result)
+    mine_l2(store, range, cfg, par, None)
 }
 
-/// Technique L2 over `range`: the one body behind [`run_l2_pool`] and
-/// [`crate::window::run_l2_windowed_cached`]. Also returns the number of
-/// start-day buckets walked.
+/// Technique L2 over `range`: the one body behind [`run_l2_pool`],
+/// [`crate::window::run_l2_windowed_cached`] and the pipeline's mining
+/// body.
 ///
 /// Sessions are reconstructed for the whole range (a linear sweep) and
 /// split into their start-day buckets. With a `cache`, each bucket's
@@ -137,7 +137,7 @@ pub(crate) fn mine_l2(
     cfg: &L2Config,
     par: &ParConfig,
     cache: Option<&mut EvidenceCache>,
-) -> crate::Result<(L2Result, usize)> {
+) -> crate::Result<L2Result> {
     cfg.validate()?;
     let session_set = reconstruct_range(store, range, &cfg.session);
     let buckets = day_buckets(&session_set.sessions);
@@ -169,13 +169,12 @@ pub(crate) fn mine_l2(
         .into_iter()
         .fold(BigramCounts::default(), merge_counts);
     let (detected, outcomes) = associations(&bigrams, cfg);
-    let result = L2Result {
+    Ok(L2Result {
         detected,
         outcomes,
         bigrams,
         session_stats: session_set.stats,
-    };
-    Ok((result, buckets.len()))
+    })
 }
 
 /// Splits start-ordered sessions into their start-day buckets:

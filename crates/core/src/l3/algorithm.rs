@@ -90,8 +90,9 @@ pub fn run_l3_pool(
     Ok(mine_l3(store, range, service_ids, cfg, par, None))
 }
 
-/// Technique L3 over `range`: the one body behind [`run_l3_pool`] and
-/// [`crate::window::run_l3_windowed_cached`].
+/// Technique L3 over `range`: the one body behind [`run_l3_pool`],
+/// [`crate::window::run_l3_windowed_cached`] and the pipeline's mining
+/// body.
 ///
 /// Citation counts are additive over any partition of the records, so
 /// the range splits at absolute UTC-day boundaries. With a `cache`, each

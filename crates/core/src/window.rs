@@ -1,15 +1,16 @@
 //! Sliding-window incremental pipeline driver.
 //!
 //! The "around the clock" deployment of §1.2: re-mine the trailing
-//! window (say, 7 days) once per day. The drivers here hand every
-//! technique the [`EvidenceCache`], so an advance only recomputes the
-//! day that entered the window — the rest hits on content address.
+//! window (say, 7 days) once per day. [`run_window_cached`] hands the
+//! [`EvidenceCache`] to the one mining body the batch pipeline also
+//! runs (`health::mine`, which owns the detector spans, health rows and
+//! cache counters), so an advance only recomputes the day that entered
+//! the window — the rest hits on content address.
 //!
 //! Equality with the batch runners is structural, not statistical:
 //! each detector has one body, which walks the window's cache units and
 //! merges and thresholds once, and a batch run is that body with no
-//! cache. The windowed entry points only add the cache, their trace
-//! spans and their counters:
+//! cache:
 //!
 //! * **L1** — units are slots ([`run_l1_cached`]).
 //! * **L2** — units are the start-day buckets of the window's sessions
@@ -19,9 +20,11 @@
 //!   recompute.
 //! * **L3** — units are the window's UTC-day record chunks
 //!   ([`run_l3_windowed_cached`]).
+//!
+//! [`run_l1_cached`]: crate::cache::run_l1_cached
 
-use crate::cache::{run_l1_cached, CacheStats, EvidenceCache};
-use crate::health::PipelineConfig;
+use crate::cache::{CacheStats, EvidenceCache};
+use crate::health::{mine, PipelineConfig};
 use crate::l1::L1Result;
 use crate::l2::{mine_l2, L2Config, L2Result};
 use crate::l3::{mine_l3, L3Config, L3Result};
@@ -49,7 +52,8 @@ pub struct WindowOutcome {
 /// Runs every enabled technique of `cfg` over `window` through the
 /// cache, then evicts entries that slid out of the window. The results
 /// are byte-identical to [`crate::health::run_pipeline`]'s per-layer
-/// outcomes on the same window.
+/// outcomes on the same window. Every detector runs; the first failed
+/// one's error is returned, and nothing is evicted then.
 pub fn run_window_cached(
     store: &LogStore,
     window: TimeRange,
@@ -67,19 +71,10 @@ pub fn run_window_cached(
             ],
         );
     });
-    let sources = store.active_sources();
-    let l1 = match &cfg.l1 {
-        Some(c) => Some(run_l1_cached(store, window, &sources, c, &cfg.par, cache)?),
-        None => None,
-    };
-    let l2 = match &cfg.l2 {
-        Some(c) => Some(l2_windowed(store, window, c, &cfg.par, cache)?),
-        None => None,
-    };
-    let l3 = cfg
-        .l3
-        .as_ref()
-        .map(|c| l3_windowed(store, window, service_ids, c, &cfg.par, cache));
+    let mined = mine(store, window, service_ids, cfg, Some(&mut *cache));
+    let l1 = mined.l1.transpose()?;
+    let l2 = mined.l2.transpose()?;
+    let l3 = mined.l3.transpose()?;
     cache.evict_outside(window);
     let stats = cache.stats().since(&before);
     record(|r| {
@@ -115,45 +110,7 @@ pub fn run_l2_windowed_cached(
     cfg: &L2Config,
     cache: &mut EvidenceCache,
 ) -> crate::Result<L2Result> {
-    l2_windowed(store, window, cfg, &ParConfig::default(), cache)
-}
-
-/// [`run_l2_windowed_cached`] on an explicit pool, with its `window.l2`
-/// span and `cache.l2.*` counters around the shared L2 body.
-fn l2_windowed(
-    store: &LogStore,
-    window: TimeRange,
-    cfg: &L2Config,
-    par: &ParConfig,
-    cache: &mut EvidenceCache,
-) -> crate::Result<L2Result> {
-    cfg.validate()?;
-    record(|r| {
-        r.span_begin(
-            "window.l2",
-            &[
-                ("start_ms", Field::from(window.start.0)),
-                ("end_ms", Field::from(window.end.0)),
-            ],
-        );
-    });
-    let before = cache.stats;
-    let (result, buckets) = mine_l2(store, window, cfg, par, Some(cache))?;
-    let delta = cache.stats.since(&before);
-    record(|r| {
-        r.counter_add("cache.l2.hits", delta.l2_hits);
-        r.counter_add("cache.l2.misses", delta.l2_misses);
-        r.span_end(
-            "window.l2",
-            &[
-                ("buckets", Field::from(buckets)),
-                ("hits", Field::from(delta.l2_hits)),
-                ("misses", Field::from(delta.l2_misses)),
-                ("detected", Field::from(result.detected.len())),
-            ],
-        );
-    });
-    Ok(result)
+    mine_l2(store, window, cfg, &ParConfig::default(), Some(cache))
 }
 
 /// Technique L3 over `window` through the cache, one entry per UTC-day
@@ -166,52 +123,8 @@ pub fn run_l3_windowed_cached(
     cfg: &L3Config,
     cache: &mut EvidenceCache,
 ) -> crate::Result<L3Result> {
-    Ok(l3_windowed(
-        store,
-        window,
-        service_ids,
-        cfg,
-        &ParConfig::default(),
-        cache,
-    ))
-}
-
-/// [`run_l3_windowed_cached`] on an explicit pool, with its `window.l3`
-/// span and `cache.l3.*` counters around the shared L3 body.
-fn l3_windowed(
-    store: &LogStore,
-    window: TimeRange,
-    service_ids: &[String],
-    cfg: &L3Config,
-    par: &ParConfig,
-    cache: &mut EvidenceCache,
-) -> L3Result {
-    record(|r| {
-        r.span_begin(
-            "window.l3",
-            &[
-                ("start_ms", Field::from(window.start.0)),
-                ("end_ms", Field::from(window.end.0)),
-            ],
-        );
-    });
-    let before = cache.stats;
-    let result = mine_l3(store, window, service_ids, cfg, par, Some(cache));
-    let delta = cache.stats.since(&before);
-    record(|r| {
-        r.counter_add("cache.l3.hits", delta.l3_hits);
-        r.counter_add("cache.l3.misses", delta.l3_misses);
-        r.span_end(
-            "window.l3",
-            &[
-                ("days", Field::from(day_chunks(window).len())),
-                ("hits", Field::from(delta.l3_hits)),
-                ("misses", Field::from(delta.l3_misses)),
-                ("detected", Field::from(result.detected.len())),
-            ],
-        );
-    });
-    result
+    let par = ParConfig::default();
+    Ok(mine_l3(store, window, service_ids, cfg, &par, Some(cache)))
 }
 
 /// Splits `window` at absolute day boundaries (partial edge chunks

@@ -8,7 +8,8 @@
 //! repairs out-of-order delivery, absorbs at-least-once duplication, and
 //! estimates per-source clock skew from the client/server timestamp gap
 //! (the paper's §4.2 NT-domain drift), reporting everything in a
-//! machine-readable [`IngestReport`].
+//! machine-readable [`IngestReport`]. [`load_logs`] runs it over one or
+//! several export files and merges them.
 
 use crate::codec::{parse_record, ParseErrors};
 use crate::store::LogStore;
@@ -230,6 +231,34 @@ pub fn read_store_resilient<R: BufRead>(
     }
 
     Ok((store, report))
+}
+
+/// Each loaded file's path and [`IngestReport`], in load order.
+type FileReports<'a> = Vec<(&'a str, IngestReport)>;
+
+/// Loads one TSV export, or several (comma-separated paths) merged —
+/// the consolidation step of §5, for logs collected from decentralized
+/// storage locations. Each file goes through [`read_store_resilient`]
+/// under the default [`IngestPolicy`]. Returns the finalized merged
+/// store and each file's path and [`IngestReport`], in order; an error
+/// names the path that failed.
+pub fn load_logs(paths: &str) -> Result<(LogStore, FileReports<'_>), String> {
+    let policy = IngestPolicy::default();
+    let mut merged: Option<LogStore> = None;
+    let mut reports = Vec::new();
+    for path in paths.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+        let file = std::fs::File::open(path).map_err(|e| format!("open {path:?}: {e}"))?;
+        let (store, report) = read_store_resilient(io::BufReader::new(file), &policy)
+            .map_err(|e| format!("ingest {path}: {e}"))?;
+        reports.push((path, report));
+        match merged.as_mut() {
+            None => merged = Some(store),
+            Some(m) => m.merge(&store),
+        }
+    }
+    let mut store = merged.ok_or("no log files given")?;
+    store.finalize();
+    Ok((store, reports))
 }
 
 fn check_budget(

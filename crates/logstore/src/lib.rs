@@ -27,7 +27,7 @@ pub mod store;
 pub mod time;
 pub mod timeline;
 
-pub use ingest::{read_store_resilient, IngestError, IngestPolicy, IngestReport};
+pub use ingest::{load_logs, read_store_resilient, IngestError, IngestPolicy, IngestReport};
 pub use record::{LogRecord, Severity};
 pub use registry::{HostId, NameRegistry, SourceId, UserId};
 pub use store::LogStore;

@@ -172,7 +172,7 @@ impl Event {
 pub struct EventSink {
     events: Vec<Event>,
     next_seq: u64,
-    clock: Option<fn() -> u64>,
+    pub(crate) clock: Option<fn() -> u64>,
 }
 
 impl EventSink {

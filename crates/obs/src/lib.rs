@@ -87,9 +87,13 @@ impl Recorder {
         self.metrics.gauge_set(name, value);
     }
 
-    /// Records a microsecond observation into a named histogram.
+    /// Records a microsecond observation into a named histogram — only
+    /// under an injected clock. A clock-free recorder drops it, so its
+    /// metrics and [`report`](Self::report) carry no wall-clock time.
     pub fn observe_us(&mut self, name: &str, us: u64) {
-        self.metrics.observe_us(name, us);
+        if self.sink.clock.is_some() {
+            self.metrics.observe_us(name, us);
+        }
     }
 
     /// Summarizes the recorded run.
@@ -167,5 +171,16 @@ mod tests {
         let report = rec.report();
         assert_eq!(report.events, 1);
         assert_eq!(report.detectors.len(), 1);
+    }
+
+    #[test]
+    fn elapsed_time_reaches_metrics_only_under_a_clock() {
+        let mut plain = Recorder::new();
+        plain.observe_us("detector.l1.us", 1500);
+        assert!(plain.metrics.histogram("detector.l1.us").is_none());
+        let mut clocked = Recorder::with_clock(|| 0);
+        clocked.observe_us("detector.l1.us", 1500);
+        let h = clocked.metrics.histogram("detector.l1.us");
+        assert_eq!(h.map(|h| h.sum_us()), Some(1500));
     }
 }

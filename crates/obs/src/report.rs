@@ -3,9 +3,9 @@
 //! A [`RunReport`] reads the well-known metric names the pipeline
 //! records (see DESIGN.md §14 for the full table) and renders them as
 //! an operator-facing text block or a JSON object. Timing fields come
-//! from detector health rows and are observational: they vary run to
-//! run, which is why the report — unlike the event trace — is never
-//! asserted byte-identical.
+//! from detector health rows and reach the registry only under an
+//! injected clock (the CLI's `--wall-clock`): a clock-free recorder's
+//! report is byte-identical run to run, with every `elapsed_us` 0.
 
 use crate::event::escape_into;
 use crate::metrics::MetricsRegistry;

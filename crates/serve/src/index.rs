@@ -93,11 +93,11 @@ impl ModelIndex {
     /// freezes the results into an index.
     ///
     /// The build runs under its own [`obs::Recorder`] so the per-window
-    /// span events and cache counters land in this index's
-    /// [`ModelIndex::report_json`] rather than any ambient trace; the
-    /// previously installed recorder (if any) is restored afterwards.
-    /// The recorder is clock-free, so the captured report is
-    /// deterministic.
+    /// span events, detector health rows and cache counters land in
+    /// this index's [`ModelIndex::report_json`] rather than any ambient
+    /// trace; the previously installed recorder (if any) is restored
+    /// afterwards. The recorder is clock-free, so the captured report
+    /// is deterministic (every detector's `elapsed_us` is 0).
     pub fn from_store(
         store: &LogStore,
         service_ids: &[String],

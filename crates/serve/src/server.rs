@@ -119,12 +119,6 @@ impl ServerHandle {
         self.shared.shutdown.store(true, Ordering::SeqCst);
     }
 
-    /// Schedules a reload through the server's [`SnapshotSource`]
-    /// (same effect as `GET /admin/reload`).
-    pub fn request_reload(&self) {
-        self.shared.reload.store(true, Ordering::SeqCst);
-    }
-
     /// Atomically swaps in an already-built index. In-flight requests
     /// finish against the generation they started with; new requests
     /// see the new one. Never blocks readers.
@@ -135,11 +129,6 @@ impl ServerHandle {
     /// Generation of the live index.
     pub fn generation(&self) -> u64 {
         self.shared.generation.load(Ordering::SeqCst)
-    }
-
-    /// A rendering of the server metrics (for tests).
-    pub fn metrics_json(&self) -> String {
-        self.shared.with_metrics(|m| render_metrics(m))
     }
 }
 

@@ -76,14 +76,6 @@ impl SimStats {
             self.context_logs as f64 / self.total_logs as f64
         }
     }
-
-    /// Edges realized at least once on `day`.
-    pub fn realized_edges_on(&self, day: usize) -> usize {
-        self.realized
-            .get(day)
-            .map(|v| v.iter().filter(|&&c| c > 0).count())
-            .unwrap_or(0)
-    }
 }
 
 /// Runs the simulation, generating the topology from the config.
