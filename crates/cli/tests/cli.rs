@@ -697,6 +697,56 @@ fn daily_metrics_summarize_the_run() {
 }
 
 #[test]
+fn daily_report_and_trace_show_the_ingest() {
+    let dir = TempDir::new("ingest-span");
+    let (logs, directory) = simulated(&dir);
+    let lines = std::fs::read_to_string(&logs)
+        .expect("export written")
+        .lines()
+        .filter(|l| !l.is_empty())
+        .count();
+    let trace = dir.path("trace.jsonl");
+    let (code, out) = run(&[
+        "daily",
+        "--logs",
+        &logs,
+        "--directory",
+        &directory,
+        "--window-days",
+        "1",
+        "--trace",
+        &trace,
+        "--metrics",
+        "--format",
+        "json",
+    ]);
+    assert_eq!(code, 0, "{out}");
+    let json = out
+        .lines()
+        .find(|l| l.starts_with('{'))
+        .expect("a JSON report line");
+    assert!(
+        json.contains(&format!("\"ingest.lines\":{lines}")),
+        "{json}"
+    );
+    assert!(json.contains("\"ingest.quarantined\":0"), "{json}");
+
+    // The export is read before anything is mined: the trace opens with
+    // the ingest span, which closes with the line count and no clock.
+    let text = std::fs::read_to_string(&trace).expect("trace written");
+    assert!(
+        text.starts_with("{\"seq\":0,\"ev\":\"begin\",\"name\":\"ingest\"}\n"),
+        "{text}"
+    );
+    let end = text
+        .lines()
+        .find(|l| l.contains("\"ev\":\"end\",\"name\":\"ingest\""))
+        .expect("an ingest span end");
+    assert!(end.contains(&format!("\"lines\":{lines},")), "{end}");
+    assert!(!end.contains("wall_us"), "{end}");
+}
+
+#[test]
 fn wall_clock_flag_stamps_the_trace() {
     let dir = TempDir::new("wall-clock");
     let (logs, directory) = simulated(&dir);

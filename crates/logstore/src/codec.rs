@@ -14,25 +14,36 @@ use crate::record::{LogRecord, Severity};
 use crate::registry::NameRegistry;
 use crate::store::LogStore;
 use crate::time::Millis;
+use std::borrow::Cow;
 use std::io::{self, Write};
 
-/// Escapes text for a single TSV field.
-fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
+/// Writes `text` as one TSV field, escaping it slice by slice: each run
+/// of bytes with nothing to escape goes to `w` as it is. Every byte that
+/// needs escaping is ASCII, so the runs are whole UTF-8 sequences.
+fn write_escaped<W: Write>(w: &mut W, text: &str) -> io::Result<()> {
+    let bytes = text.as_bytes();
+    let mut run_start = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let escaped: &[u8] = match b {
+            b'\\' => b"\\\\",
+            b'\t' => b"\\t",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            _ => continue,
+        };
+        w.write_all(bytes.get(run_start..i).unwrap_or_default())?;
+        w.write_all(escaped)?;
+        run_start = i + 1;
     }
-    out
+    w.write_all(bytes.get(run_start..).unwrap_or_default())
 }
 
-/// Reverses [`escape`].
-fn unescape(text: &str) -> String {
+/// Reverses the field escaping. Borrows `text` unless it contains a
+/// backslash, so only fields that were escaped allocate.
+fn unescape(text: &str) -> Cow<'_, str> {
+    if !text.contains('\\') {
+        return Cow::Borrowed(text);
+    }
     let mut out = String::with_capacity(text.len());
     let mut chars = text.chars();
     while let Some(c) = chars.next() {
@@ -52,7 +63,7 @@ fn unescape(text: &str) -> String {
             out.push(c);
         }
     }
-    out
+    Cow::Owned(out)
 }
 
 /// Writes one record as a TSV line (including the trailing newline).
@@ -69,17 +80,22 @@ pub fn write_record<W: Write>(
         .host
         .and_then(|h| registry.hosts.name(h.0))
         .unwrap_or("-");
-    writeln!(
+    write!(
         w,
-        "{}\t{}\t{}\t{}\t{}\t{}\t{}",
+        "{}\t{}\t",
         record.client_ts.as_millis(),
-        record.server_ts.as_millis(),
-        escape(registry.source_name(record.source)),
-        escape(user),
-        escape(host),
-        record.severity.tag(),
-        escape(&record.text),
-    )
+        record.server_ts.as_millis()
+    )?;
+    write_escaped(w, registry.source_name(record.source))?;
+    w.write_all(b"\t")?;
+    write_escaped(w, user)?;
+    w.write_all(b"\t")?;
+    write_escaped(w, host)?;
+    w.write_all(b"\t")?;
+    w.write_all(record.severity.tag().as_bytes())?;
+    w.write_all(b"\t")?;
+    write_escaped(w, &record.text)?;
+    w.write_all(b"\n")
 }
 
 /// Writes a whole store as TSV.
@@ -113,29 +129,48 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses one TSV line into a record, interning names into `registry`.
-pub fn parse_record(line: &str, registry: &mut NameRegistry) -> Result<LogRecord, ParseError> {
-    let fields: Vec<&str> = line.splitn(7, '\t').collect();
-    if fields.len() != 7 {
-        return Err(ParseError::FieldCount(fields.len()));
+/// Splits `line` at its first six tabs into the seven fields, the last
+/// keeping any further tabs; fails with the field count `splitn(7, '\t')`
+/// would give.
+fn split_fields(line: &str) -> Result<[&str; 7], ParseError> {
+    let mut fields = [""; 7];
+    let mut rest = line;
+    for (i, field) in fields.iter_mut().enumerate() {
+        *field = if i == 6 {
+            rest
+        } else {
+            let (head, tail) = rest.split_once('\t').ok_or(ParseError::FieldCount(i + 1))?;
+            rest = tail;
+            head
+        };
     }
-    let client_ts: i64 = fields[0]
-        .parse()
-        .map_err(|_| ParseError::BadTimestamp(fields[0].to_owned()))?;
-    let server_ts: i64 = fields[1]
-        .parse()
-        .map_err(|_| ParseError::BadTimestamp(fields[1].to_owned()))?;
-    let source = registry.source(&unescape(fields[2]));
-    let user = match fields[3] {
+    Ok(fields)
+}
+
+/// Parses one TSV line into a record, interning names into `registry`.
+///
+/// Fields are borrowed from `line` and unescaped only when they hold a
+/// backslash; the record's `text` is the one allocation per line.
+pub fn parse_record(line: &str, registry: &mut NameRegistry) -> Result<LogRecord, ParseError> {
+    let [client_ts, server_ts, source, user, host, severity, text] = split_fields(line)?;
+    let timestamp = |field: &str| {
+        field
+            .parse::<i64>()
+            .map_err(|_| ParseError::BadTimestamp(field.to_owned()))
+    };
+    let client_ts = timestamp(client_ts)?;
+    let server_ts = timestamp(server_ts)?;
+    let source = registry.source(&unescape(source));
+    let user = match user {
         "-" => None,
         u => Some(registry.user(&unescape(u))),
     };
-    let host = match fields[4] {
+    let host = match host {
         "-" => None,
         h => Some(registry.host(&unescape(h))),
     };
-    let severity = Severity::from_tag(fields[5])
-        .ok_or_else(|| ParseError::BadSeverity(fields[5].to_owned()))?;
+    let severity =
+        Severity::from_tag(severity).ok_or_else(|| ParseError::BadSeverity(severity.to_owned()))?;
     Ok(LogRecord {
         client_ts: Millis(client_ts),
         server_ts: Millis(server_ts),
@@ -143,7 +178,7 @@ pub fn parse_record(line: &str, registry: &mut NameRegistry) -> Result<LogRecord
         user,
         host,
         severity,
-        text: unescape(fields[6]),
+        text: unescape(text).into_owned(),
     })
 }
 
@@ -254,8 +289,20 @@ mod tests {
     #[test]
     fn escape_round_trip() {
         for s in ["plain", "tab\there", "line\nbreak", "back\\slash", "\r", ""] {
-            assert_eq!(unescape(&escape(s)), s);
+            let mut field = Vec::new();
+            write_escaped(&mut field, s).unwrap();
+            let field = String::from_utf8(field).unwrap();
+            assert_eq!(unescape(&field), s);
         }
+    }
+
+    #[test]
+    fn unescape_borrows_fields_without_a_backslash() {
+        assert!(matches!(
+            unescape("plain\ttab"),
+            Cow::Borrowed("plain\ttab")
+        ));
+        assert!(matches!(unescape("a\\tb"), Cow::Owned(_)));
     }
 
     #[test]

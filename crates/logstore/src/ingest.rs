@@ -10,9 +10,13 @@
 //! (the paper's §4.2 NT-domain drift), reporting everything in a
 //! machine-readable [`IngestReport`]. [`load_logs`] runs it over one or
 //! several export files and merges them.
+//!
+//! The reader streams through one reused line buffer: it never holds the
+//! input, only the store it builds.
 
 use crate::codec::{parse_record, ParseErrors};
 use crate::store::LogStore;
+use logdep_obs::{record, Field};
 use std::collections::BTreeMap;
 use std::io::{self, BufRead};
 
@@ -162,9 +166,51 @@ impl From<io::Error> for IngestError {
 /// stream is mostly garbage, and absorbs duplicate delivery when
 /// `policy.dedup` is set. `IngestPolicy { dedup: false,
 /// ..IngestPolicy::lenient() }` keeps every parsed line and never aborts.
+///
+/// Lines end at `\n`, and a `\r` right before that `\n` is dropped too,
+/// as [`BufRead::lines`] does; a final line needs no terminator. A line
+/// that is not UTF-8 fails the pass with an
+/// [`io::ErrorKind::InvalidData`] error. Line numbers in the report
+/// count every line, blank ones included.
+///
+/// Records one `ingest` span on the calling thread's recorder, ending
+/// with the pass's `lines`, `bytes`, `deduped` and `quarantined`, and
+/// adds them to the `ingest.*` counters.
 pub fn read_store_resilient<R: BufRead>(
     r: R,
     policy: &IngestPolicy,
+) -> Result<(LogStore, IngestReport), IngestError> {
+    record(|rec| rec.span_begin("ingest", &[]));
+    let mut bytes = 0u64;
+    let result = ingest(r, policy, &mut bytes);
+    record(|rec| match &result {
+        Ok((_, report)) => {
+            let counts = [
+                ("lines", report.total_lines as u64),
+                ("bytes", bytes),
+                ("deduped", report.deduped as u64),
+                ("quarantined", report.quarantined as u64),
+            ];
+            let mut fields = vec![("ok", Field::from(true))];
+            for (name, value) in counts {
+                rec.counter_add(&format!("ingest.{name}"), value);
+                fields.push((name, Field::from(value)));
+            }
+            rec.span_end("ingest", &fields);
+        }
+        Err(_) => rec.span_end(
+            "ingest",
+            &[("ok", Field::from(false)), ("bytes", Field::from(bytes))],
+        ),
+    });
+    result
+}
+
+/// The body of [`read_store_resilient`]; `bytes` counts what it read.
+fn ingest<R: BufRead>(
+    mut r: R,
+    policy: &IngestPolicy,
+    bytes: &mut u64,
 ) -> Result<(LogStore, IngestReport), IngestError> {
     let mut store = LogStore::new();
     let mut report = IngestReport::default();
@@ -173,13 +219,27 @@ pub fn read_store_resilient<R: BufRead>(
     let mut skew_samples: Vec<Vec<i64>> = Vec::new();
     let mut last_seen_ts: Option<i64> = None;
 
-    for (i, line) in r.lines().enumerate() {
-        let line = line?;
+    let mut buf = Vec::new();
+    let mut lineno = 0;
+    loop {
+        buf.clear();
+        let n = r.read_until(b'\n', &mut buf)?;
+        if n == 0 {
+            break;
+        }
+        *bytes += n as u64;
+        lineno += 1;
+        let line = std::str::from_utf8(strip_terminator(&buf)).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )
+        })?;
         if line.is_empty() {
             continue;
         }
         report.total_lines += 1;
-        match parse_record(&line, &mut store.registry) {
+        match parse_record(line, &mut store.registry) {
             Ok(rec) => {
                 report.parsed += 1;
                 let ts = rec.client_ts.as_millis();
@@ -198,7 +258,7 @@ pub fn read_store_resilient<R: BufRead>(
                 }
                 store.push(rec);
             }
-            Err(e) => errors.record(i + 1, e),
+            Err(e) => errors.record(lineno, e),
         }
         if report.total_lines >= policy.min_lines_before_check {
             check_budget(report.total_lines, errors.len(), policy)?;
@@ -259,6 +319,15 @@ pub fn load_logs(paths: &str) -> Result<(LogStore, FileReports<'_>), String> {
     let mut store = merged.ok_or("no log files given")?;
     store.finalize();
     Ok((store, reports))
+}
+
+/// Drops a trailing `\n`, then a `\r` before it, as [`BufRead::lines`]
+/// does: a `\r` with no `\n` after it stays in the line.
+fn strip_terminator(line: &[u8]) -> &[u8] {
+    match line.strip_suffix(b"\n") {
+        Some(body) => body.strip_suffix(b"\r").unwrap_or(body),
+        None => line,
+    }
 }
 
 fn check_budget(
@@ -419,6 +488,51 @@ mod tests {
             read_store_resilient("".as_bytes(), &IngestPolicy::default()).expect("ok");
         assert!(store.is_empty());
         assert_eq!(report, IngestReport::default());
+    }
+
+    #[test]
+    fn ingest_records_one_span_and_its_counters() {
+        let mut data = tsv(&[(10, 10, "A", "x"), (10, 10, "A", "x")]);
+        data.push_str("\ngarbage\n");
+        logdep_obs::set_recorder(logdep_obs::Recorder::new());
+        let result = read_store_resilient(data.as_bytes(), &IngestPolicy::default());
+        let rec = logdep_obs::take_recorder().expect("recorder installed above");
+        let (_, report) = result.expect("ok");
+        assert_eq!(report.total_lines, 3);
+        assert_eq!(
+            rec.sink.render_jsonl(),
+            format!(
+                "{{\"seq\":0,\"ev\":\"begin\",\"name\":\"ingest\"}}\n\
+                 {{\"seq\":1,\"ev\":\"end\",\"name\":\"ingest\",\"ok\":true,\"lines\":3,\
+                 \"bytes\":{},\"deduped\":1,\"quarantined\":1}}\n",
+                data.len()
+            )
+        );
+        for (name, value) in [
+            ("ingest.lines", 3),
+            ("ingest.bytes", data.len() as u64),
+            ("ingest.deduped", 1),
+            ("ingest.quarantined", 1),
+        ] {
+            assert_eq!(rec.metrics.counter(name), value, "{name}");
+        }
+    }
+
+    #[test]
+    fn failed_ingest_still_closes_its_span() {
+        logdep_obs::set_recorder(logdep_obs::Recorder::new());
+        let result = read_store_resilient("bad\n".as_bytes(), &IngestPolicy::default());
+        let rec = logdep_obs::take_recorder().expect("recorder installed above");
+        assert!(result.is_err());
+        assert!(rec.sink.check_balanced().is_ok());
+        assert_eq!(
+            rec.sink.events()[1].fields,
+            vec![
+                ("ok".to_owned(), Field::from(false)),
+                ("bytes".to_owned(), Field::from(4u64)),
+            ]
+        );
+        assert_eq!(rec.metrics.counter("ingest.lines"), 0);
     }
 
     #[test]

@@ -44,20 +44,17 @@ id_newtype!(
     HostId
 );
 
-/// A bidirectional name ↔ dense-index map.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// A bidirectional name ↔ dense-index map: the names in interning
+/// order, and one map from each name (looked up by `&str`) to its index.
+#[derive(Debug, Clone, Default)]
 pub struct Interner {
     names: Vec<String>,
-    #[serde(skip)]
     lookup: HashMap<String, u32>,
 }
 
 impl Interner {
     /// Interns `name`, returning its dense index.
     pub fn intern(&mut self, name: &str) -> u32 {
-        if self.lookup.is_empty() && !self.names.is_empty() {
-            self.rebuild_lookup();
-        }
         if let Some(&id) = self.lookup.get(name) {
             return id;
         }
@@ -69,12 +66,6 @@ impl Interner {
 
     /// Looks a name up without interning.
     pub fn get(&self, name: &str) -> Option<u32> {
-        if self.lookup.is_empty() && !self.names.is_empty() {
-            // Deserialized interner: fall back to a linear scan rather
-            // than requiring &mut self. Callers that care should call
-            // `rebuild_lookup` once after deserializing.
-            return self.names.iter().position(|n| n == name).map(|i| i as u32);
-        }
         self.lookup.get(name).copied()
     }
 
@@ -100,20 +91,10 @@ impl Interner {
             .enumerate()
             .map(|(i, n)| (i as u32, n.as_str()))
     }
-
-    /// Rebuilds the reverse map (needed after deserialization).
-    pub fn rebuild_lookup(&mut self) {
-        self.lookup = self
-            .names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), i as u32))
-            .collect();
-    }
 }
 
 /// Registries for the three id spaces of a log stream.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct NameRegistry {
     /// Source (application) names.
     pub sources: Interner,
@@ -206,26 +187,5 @@ mod tests {
     fn unknown_source_name_is_stable() {
         let r = NameRegistry::new();
         assert_eq!(r.source_name(SourceId(99)), "<unknown-source>");
-    }
-
-    #[test]
-    fn lookup_survives_serde_round_trip() {
-        let mut i = Interner::default();
-        i.intern("x");
-        i.intern("y");
-        let json = serde_json_round_trip(&i);
-        assert_eq!(json.get("y"), Some(1));
-        assert_eq!(json.name(0), Some("x"));
-    }
-
-    // Minimal round trip without pulling serde_json into deps: serialize
-    // via serde's derive through a clone-based check instead.
-    fn serde_json_round_trip(i: &Interner) -> Interner {
-        // Simulate "deserialized" state: names present, lookup empty.
-        let mut copy = Interner::default();
-        for (_, n) in i.iter() {
-            copy.names.push(n.to_owned());
-        }
-        copy
     }
 }

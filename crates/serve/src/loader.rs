@@ -94,3 +94,51 @@ fn warm_cache(source: &SnapshotSource) -> EvidenceCache {
         Err(_) => EvidenceCache::new(),
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use logdep_obs::{set_recorder, take_recorder, Recorder};
+
+    #[test]
+    fn reload_trace_nests_the_ingest() {
+        let dir = std::env::temp_dir().join(format!("logdep-serve-reload-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let logs = dir.join("logs.tsv");
+        std::fs::write(&logs, "10\t10\tA\t-\t-\tINF\tx\n20\t20\tB\t-\t-\tINF\ty\n")
+            .expect("write export");
+        let source = SnapshotSource {
+            logs: logs.to_string_lossy().into_owned(),
+            directory: None,
+            store: None,
+            plan: IndexPlan {
+                start_day: 0,
+                window_days: 1,
+                advance_days: 1,
+                steps: 1,
+            },
+            cfg: PipelineConfig::default(),
+        };
+        set_recorder(Recorder::new());
+        let result = run_reload(&source, 1);
+        let rec = take_recorder().expect("recorder installed above");
+        std::fs::remove_dir_all(&dir).expect("remove temp dir");
+        assert!(result.is_ok());
+        let names: Vec<(&str, &str)> = rec
+            .sink
+            .events()
+            .iter()
+            .map(|e| (e.phase.name(), e.name.as_str()))
+            .collect();
+        assert_eq!(
+            names,
+            [
+                ("begin", "reload"),
+                ("begin", "ingest"),
+                ("end", "ingest"),
+                ("end", "reload")
+            ]
+        );
+        assert_eq!(rec.metrics.counter("ingest.lines"), 2);
+    }
+}
